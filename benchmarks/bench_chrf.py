@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
-"""Benchmark the chrF kernels: compiled extension vs pure-Python fallback.
+"""Benchmark chrF: a per-pair `chrf` loop against one `chrf_batch` call.
 
-Spawns one subprocess per backend (the backend is chosen at import time)
-over an identical synthetic workload and prints the comparison.
+Both score the same synthetic pairs; the run exits 1 if any score differs
+between the two, and otherwise prints the time of each (best of
+--repeats).
 
     python benchmarks/bench_chrf.py
     python benchmarks/bench_chrf.py --pairs 5000
 """
 
 import argparse
-import json
-import os
 import random
-import subprocess
 import sys
 import time
+
+from xlconsist.textmetrics import chrf, chrf_batch
 
 LATIN_WORDS = (
     "capital country element planet river mountain ocean treaty president "
@@ -47,68 +47,41 @@ def make_pairs(n, seed=12345):
     return pairs
 
 
-def run_workload(n_pairs, repeats):
-    from xlconsist.textmetrics import chrf
-    from xlconsist.textmetrics.chrf import backend_name
-
-    pairs = make_pairs(n_pairs)
-    checksum = 0.0
-    start = time.perf_counter()
+def best_time(fn, repeats):
+    """(fastest wall time, result) over `repeats` calls of fn."""
+    best, result = float("inf"), None
     for _ in range(repeats):
-        for hyp, ref in pairs:
-            checksum += chrf(hyp, ref)
-    elapsed = time.perf_counter() - start
-    scored = n_pairs * repeats
-    return {
-        "backend": backend_name(),
-        "pairs": scored,
-        "seconds": elapsed,
-        "pairs_per_second": scored / elapsed,
-        "checksum": checksum,
-    }
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--pairs", type=int, default=2000)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--single", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
 
-    if args.single:
-        print(json.dumps(run_workload(args.pairs, args.repeats)))
-        return
+    pairs = make_pairs(args.pairs)
+    hyps = [hyp for hyp, _ in pairs]
+    refs = [ref for _, ref in pairs]
+    loop_s, loop_scores = best_time(
+        lambda: [chrf(hyp, ref) for hyp, ref in pairs], args.repeats
+    )
+    batch_s, batch_scores = best_time(lambda: chrf_batch(hyps, refs), args.repeats)
 
-    results = {}
-    for label, env_value in (("extension", None), ("pure-python", "1")):
-        env = dict(os.environ)
-        env.pop("XLCONSIST_PURE_PYTHON", None)
-        if env_value:
-            env["XLCONSIST_PURE_PYTHON"] = env_value
-        out = subprocess.run(
-            [sys.executable, __file__, "--single",
-             "--pairs", str(args.pairs), "--repeats", str(args.repeats)],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        results[label] = json.loads(out.stdout)
+    differing = sum(a != b for a, b in zip(loop_scores, batch_scores))
+    if differing:
+        print(f"{differing} of {len(pairs)} scores differ between chrf and chrf_batch")
+        return 1
 
-    ext = results["extension"]
-    pure = results["pure-python"]
-    if ext["checksum"] != pure["checksum"]:
-        raise SystemExit("backends disagree on scores; refusing to report timings")
-
-    print(f"{'backend':<14} {'kernel':<8} {'pairs':>8} {'seconds':>9} {'pairs/s':>10}")
-    for label, result in results.items():
-        print(
-            f"{label:<14} {result['backend']:<8} {result['pairs']:>8} "
-            f"{result['seconds']:>9.3f} {result['pairs_per_second']:>10.0f}"
-        )
-    if ext["backend"] == "cython":
-        print(f"\nspeedup: {pure['seconds'] / ext['seconds']:.2f}x "
-              f"(identical scores on {ext['pairs']} pairs)")
-    else:
-        print("\nextension not built; both rows ran the pure-Python kernel")
+    print(f"{'path':<12} {'pairs':>8} {'seconds':>9} {'pairs/s':>10}")
+    for label, seconds in (("chrf loop", loop_s), ("chrf_batch", batch_s)):
+        print(f"{label:<12} {len(pairs):>8} {seconds:>9.3f} {len(pairs) / seconds:>10.0f}")
+    print(f"\nspeedup: {loop_s / batch_s:.2f}x (identical scores on {len(pairs)} pairs)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

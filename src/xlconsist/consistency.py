@@ -26,7 +26,7 @@ import numpy as np
 from .answers import AnswerSet
 from .dataset import Dataset
 from .errors import LanguageMismatchError
-from .textmetrics import ChrfConfig, DEFAULT_CHRF, chrf, pearson, spearman, spearman_detailed
+from .textmetrics import ChrfConfig, DEFAULT_CHRF, chrf_batch, pearson, spearman, spearman_detailed
 
 log = logging.getLogger(__name__)
 
@@ -58,14 +58,26 @@ class PairMatrix:
         j = self.languages.index(lang_j)
         return float(self.values[i, j])
 
+    @staticmethod
+    def index_pairs(languages) -> list[tuple[int, int]]:
+        """Unordered index pairs (i, j) in language-code order, the canonical
+        summation order of every pairwise aggregate."""
+        indexed = sorted((code, i) for i, code in enumerate(languages))
+        return [
+            (indexed[a][1], indexed[b][1])
+            for a in range(len(indexed))
+            for b in range(a + 1, len(indexed))
+        ]
+
     def unordered_pairs(self):
         """(code_i, code_j, value, degenerate) per pair, sorted by codes."""
-        indexed = sorted((code, i) for i, code in enumerate(self.languages))
-        for a in range(len(indexed)):
-            for b in range(a + 1, len(indexed)):
-                code_i, i = indexed[a]
-                code_j, j = indexed[b]
-                yield code_i, code_j, float(self.values[i, j]), bool(self.degenerate[i, j])
+        for i, j in self.index_pairs(self.languages):
+            yield (
+                self.languages[i],
+                self.languages[j],
+                float(self.values[i, j]),
+                bool(self.degenerate[i, j]),
+            )
 
     def mean_offdiagonal(self) -> float:
         cells = [value for _, _, value, _ in self.unordered_pairs()]
@@ -142,14 +154,6 @@ class PairMatrix:
         return cls(languages, values)
 
 
-def _pair_indices(languages: tuple[str, ...]):
-    """Unordered index pairs in language-code order (canonical summation order)."""
-    indexed = sorted((code, i) for i, code in enumerate(languages))
-    for a in range(len(indexed)):
-        for b in range(a + 1, len(indexed)):
-            yield indexed[a][1], indexed[b][1]
-
-
 def _select_items(dataset: Dataset, domains=None, include_timeliness=False):
     items = list(dataset.qa_items)
     if domains is not None:
@@ -168,6 +172,9 @@ def _select_items(dataset: Dataset, domains=None, include_timeliness=False):
 class MetricResult:
     score: float
     matrix: PairMatrix
+    # xSC only: per-item cosines, one row per PairMatrix.index_pairs pair,
+    # one column per scored item (QA items first, in dataset order)
+    item_cosines: np.ndarray | None = None
 
     @property
     def degenerate_pairs(self) -> int:
@@ -199,17 +206,22 @@ def xsc(
         norms = np.sqrt((matrix * matrix).sum(axis=1))
         safe = np.where(norms > 0, norms, 1.0)
         normalized[lang] = matrix / safe[:, None]
+    pairs = PairMatrix.index_pairs(languages)
+    cosines = np.empty((len(pairs), len(item_ids)))
+    for row, (i, j) in enumerate(pairs):
+        cosines[row] = (normalized[languages[i]] * normalized[languages[j]]).sum(axis=1)
+    matrix = _cosine_matrix(languages, cosines, np.ones(len(item_ids), dtype=bool))
+    return MetricResult(matrix.mean_offdiagonal(), matrix, cosines)
 
+
+def _cosine_matrix(languages, cosines: np.ndarray, items: np.ndarray) -> PairMatrix:
+    """xSC pair matrix over the items (columns of `cosines`) that `items` selects."""
     size = len(languages)
     values = np.full((size, size), np.nan)
-    count = len(item_ids)
-    for i, j in _pair_indices(languages):
-        sims = (normalized[languages[i]] * normalized[languages[j]]).sum(axis=1)
-        cell = math.fsum(sims.tolist()) / count
-        values[i, j] = cell
-        values[j, i] = cell
-    matrix = PairMatrix(languages, values)
-    return MetricResult(matrix.mean_offdiagonal(), matrix)
+    count = int(items.sum())
+    for (i, j), sims in zip(PairMatrix.index_pairs(languages), cosines):
+        values[i, j] = values[j, i] = math.fsum(sims[items].tolist()) / count
+    return PairMatrix(languages, values)
 
 
 def accuracy_vectors(
@@ -227,10 +239,11 @@ def accuracy_vectors(
     vectors = {}
     for lang in dataset.languages:
         vectors[lang] = np.array(
-            [
-                chrf(answers.answer(lang, item_id), truth[lang], chrf_cfg)
-                for item_id, truth in entries
-            ]
+            chrf_batch(
+                [answers.answer(lang, item_id) for item_id, _ in entries],
+                [truth[lang] for _, truth in entries],
+                chrf_cfg,
+            )
         )
     return vectors
 
@@ -239,7 +252,7 @@ def _rank_correlation_matrix(languages, vectors) -> PairMatrix:
     size = len(languages)
     values = np.full((size, size), np.nan)
     degenerate = np.zeros((size, size), dtype=bool)
-    for i, j in _pair_indices(languages):
+    for i, j in PairMatrix.index_pairs(languages):
         result = spearman_detailed(vectors[languages[i]], vectors[languages[j]])
         values[i, j] = values[j, i] = result.value
         degenerate[i, j] = degenerate[j, i] = result.degenerate
@@ -286,16 +299,21 @@ def timeliness_score(
     tau are floored to zero.
     """
     candidates = list(candidates)
-    if not candidates:
+    scores = chrf_batch([answer] * len(candidates), candidates, chrf_cfg)
+    return _recency_weighted(scores, mode, tau)
+
+
+def _recency_weighted(scores: list[float], mode: str, tau: float) -> float:
+    """One item's timeliness score from its candidates' chrF, newest first."""
+    if not scores:
         raise ValueError("timeliness_score needs a nonempty candidate list")
     if mode not in (PROSE, FORMULA):
         raise ValueError(f"unknown mode {mode!r}")
-    scores = [chrf(answer, candidate, chrf_cfg) for candidate in candidates]
     best = max(scores)
     if best < tau or best == 0.0:
         return 0.0
     if mode == FORMULA:
-        return best / len(candidates)
+        return best / len(scores)
     rank = scores.index(best) + 1
     return best / rank
 
@@ -307,17 +325,23 @@ def timeliness_vectors(
     mode: str = PROSE,
     tau: float = 0.0,
 ) -> dict[str, np.ndarray]:
-    item_ids = [item.id for item in dataset.timeliness_items]
-    answers.check_coverage(dataset.languages, item_ids)
+    """Per-language timeliness score of each timeliness item; one chrF
+    batch per language over every (answer, candidate) pair."""
+    items = dataset.timeliness_items
+    answers.check_coverage(dataset.languages, [item.id for item in items])
     vectors = {}
     for lang in dataset.languages:
+        hypotheses, references, ends = [], [], []
+        for item in items:
+            answer = answers.answer(lang, item.id)
+            for candidate in item.candidates[lang]:
+                hypotheses.append(answer)
+                references.append(candidate)
+            ends.append(len(references))
+        scores = chrf_batch(hypotheses, references, chrf_cfg)
+        starts = [0] + ends[:-1]
         vectors[lang] = np.array(
-            [
-                timeliness_score(
-                    answers.answer(lang, item.id), item.candidates[lang], chrf_cfg, mode, tau
-                )
-                for item in dataset.timeliness_items
-            ]
+            [_recency_weighted(scores[start:end], mode, tau) for start, end in zip(starts, ends)]
         )
     return vectors
 
@@ -362,12 +386,21 @@ def domain_breakdown(
     domains=None,
 ) -> dict[str, float]:
     """xSC restricted to each domain's items."""
+    return _domain_table(dataset, xsc(answers, dataset, embedder).item_cosines, domains)
+
+
+def _domain_table(dataset: Dataset, item_cosines: np.ndarray, domains=None) -> dict[str, float]:
+    """Per-domain xSC reduced from xsc's per-item cosines (QA items first)."""
+    qa_cosines = item_cosines[:, : dataset.n_qa]
+    item_domains = np.array([item.domain for item in dataset.qa_items])
     breakdown = {}
     for domain in domains if domains is not None else dataset.domains():
-        if not dataset.qa_by_domain(domain):
+        selected = item_domains == domain
+        if not selected.any():
             log.warning("domain %r has no items; omitted from breakdown", domain)
             continue
-        breakdown[domain] = xsc(answers, dataset, embedder, domains=(domain,)).score
+        matrix = _cosine_matrix(dataset.languages, qa_cosines, selected)
+        breakdown[domain] = matrix.mean_offdiagonal()
     return breakdown
 
 
@@ -547,7 +580,7 @@ def build_report(
     accuracy = xac(answers, dataset, chrf_cfg, include_timeliness=include_timeliness)
     timeliness = xtc(answers, dataset, chrf_cfg, mode=xtc_mode, tau=tau)
     combined, degenerate = xc_detailed(semantic.score, accuracy.score, timeliness.score)
-    breakdown = domain_breakdown(answers, dataset, embedder)
+    breakdown = _domain_table(dataset, semantic.item_cosines)
 
     meta = {
         "run_id": answers.run_id,

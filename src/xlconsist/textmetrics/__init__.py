@@ -1,12 +1,13 @@
 """Pure-math primitives: chrF score, Spearman correlation, cosine similarity."""
 
-from .chrf import DEFAULT_CHRF, ChrfConfig, backend_name, chrf
+from .chrf import DEFAULT_CHRF, ChrfConfig, backend_name, chrf, chrf_batch
 from .stats import SpearmanResult, average_ranks, cosine, pearson, spearman, spearman_detailed
 
 __all__ = [
     "ChrfConfig",
     "DEFAULT_CHRF",
     "chrf",
+    "chrf_batch",
     "backend_name",
     "average_ranks",
     "cosine",

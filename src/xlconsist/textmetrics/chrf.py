@@ -5,35 +5,37 @@ Setting word_ngram_max=0 gives plain chrF. Whitespace is removed before
 character n-gram extraction; word n-grams split on whitespace, so scripts
 written without spaces contribute through character n-grams only.
 
-The per-order counting runs on a compiled kernel when the extension built,
-with a pure-Python twin as fallback. Set XLCONSIST_PURE_PYTHON=1 to force
-the fallback (used by the benchmark).
+`chrf_batch` scores many pairs in one numpy pass and `chrf` is its
+one-pair case. Each distinct string is prepared once (NFC, optional
+casefold, whitespace strip and split). Code points and word tokens become
+integer symbols, and the n-grams of order n get exact integer ids from
+`np.unique` over (order n-1 id, next symbol), so no gram is hashed and no
+two grams can share an id. A pair's clipped overlap at each order is the
+sum over the hypothesis's distinct grams of min(hypothesis count,
+reference count), read from sorted (string, gram) counts. Pairs run in
+chunks of at most CHUNK_CHARS characters to bound memory.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
 import unicodedata
 from dataclasses import dataclass
+from typing import Sequence
 
-from . import _ngram_py
-
-if os.environ.get("XLCONSIST_PURE_PYTHON"):
-    _ngram = _ngram_py
-else:
-    try:
-        from . import _ngram_cy as _ngram  # type: ignore[no-redef]
-    except ImportError:
-        _ngram = _ngram_py
+import numpy as np
 
 _WHITESPACE = re.compile(r"\s+")
 
+# upper bound on the characters (hypothesis plus reference, summed over
+# pairs) that one chunk of a batch holds; a longer single pair runs alone
+CHUNK_CHARS = 1 << 17
+
 
 def backend_name() -> str:
-    """Which n-gram kernel is active: 'cython' or 'python'."""
-    return _ngram.BACKEND_NAME
+    """Which n-gram kernel is active (there is one: the batched numpy pass)."""
+    return "numpy"
 
 
 @dataclass(frozen=True)
@@ -56,14 +58,6 @@ class ChrfConfig:
 DEFAULT_CHRF = ChrfConfig()
 
 
-def _fscore(hyp_total: int, ref_total: int, overlap: int, beta_sq: float) -> float:
-    precision = overlap / hyp_total if hyp_total else 0.0
-    recall = overlap / ref_total if ref_total else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return (1 + beta_sq) * precision * recall / (beta_sq * precision + recall)
-
-
 def chrf(hypothesis: str, reference: str, cfg: ChrfConfig = DEFAULT_CHRF) -> float:
     """F-beta score averaged over n-gram orders, in [0,1].
 
@@ -71,28 +65,124 @@ def chrf(hypothesis: str, reference: str, cfg: ChrfConfig = DEFAULT_CHRF) -> flo
     3-character strings) are skipped from the average; an order where only
     one side has n-grams counts as 0. Both inputs empty scores 0.
     """
-    hypothesis = unicodedata.normalize("NFC", hypothesis)
-    reference = unicodedata.normalize("NFC", reference)
-    if cfg.case_fold:
-        hypothesis = hypothesis.casefold()
-        reference = reference.casefold()
+    return chrf_batch([hypothesis], [reference], cfg)[0]
 
-    if cfg.strip_whitespace_for_char_ngrams:
-        hyp_chars = _WHITESPACE.sub("", hypothesis)
-        ref_chars = _WHITESPACE.sub("", reference)
-    else:
-        hyp_chars, ref_chars = hypothesis, reference
 
-    stats = _ngram.char_ngram_stats(hyp_chars, ref_chars, cfg.char_ngram_max)
+def chrf_batch(
+    hypotheses: Sequence[str], references: Sequence[str], cfg: ChrfConfig = DEFAULT_CHRF
+) -> list[float]:
+    """chrF of every pair (hypotheses[k], references[k]), as `chrf` defines it."""
+    if len(hypotheses) != len(references):
+        raise ValueError(f"length mismatch: {len(hypotheses)} vs {len(references)}")
+    prepared: dict[str, int] = {}
+    chars: list[str] = []
+    words: list[list[int]] = []
+    tokens: dict[str, int] = {}
+
+    def prepare(text: str) -> int:
+        index = prepared.get(text)
+        if index is None:
+            index = prepared[text] = len(chars)
+            text = unicodedata.normalize("NFC", text)
+            if cfg.case_fold:
+                text = text.casefold()
+            chars.append(
+                _WHITESPACE.sub("", text) if cfg.strip_whitespace_for_char_ngrams else text
+            )
+            if cfg.word_ngram_max > 0:
+                words.append([tokens.setdefault(token, len(tokens)) for token in text.split()])
+        return index
+
+    hyp = [prepare(text) for text in hypotheses]
+    ref = [prepare(text) for text in references]
+    scores: list[float] = []
+    start = budget = 0
+    for k, (h, r) in enumerate(zip(hyp, ref)):
+        cost = len(chars[h]) + len(chars[r])
+        if k > start and budget + cost > CHUNK_CHARS:
+            scores += _score_chunk(hyp[start:k], ref[start:k], chars, words, cfg)
+            start, budget = k, 0
+        budget += cost
+    if len(hyp) > start:
+        scores += _score_chunk(hyp[start:], ref[start:], chars, words, cfg)
+    return scores
+
+
+def _score_chunk(hyp, ref, chars, words, cfg) -> list[float]:
+    seqs, inverse = np.unique(np.array(hyp + ref, dtype=np.int64), return_inverse=True)
+    hyp, ref = inverse[: len(hyp)], inverse[len(hyp) :]
+    text = "".join(chars[s] for s in seqs)
+    symbols = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    lengths = np.array([len(chars[s]) for s in seqs], dtype=np.int64)
+    stats = _order_stats(symbols.astype(np.int64), lengths, hyp, ref, cfg.char_ngram_max)
     if cfg.word_ngram_max > 0:
-        stats += _ngram.word_ngram_stats(
-            hypothesis.split(), reference.split(), cfg.word_ngram_max
+        ids = [token for s in seqs for token in words[s]]
+        lengths = np.array([len(words[s]) for s in seqs], dtype=np.int64)
+        stats += _order_stats(
+            np.array(ids, dtype=np.int64), lengths, hyp, ref, cfg.word_ngram_max
         )
+    return _average_fscores(stats, cfg.beta * cfg.beta, len(hyp))
 
-    beta_sq = cfg.beta * cfg.beta
-    scores = [
-        _fscore(h, r, o, beta_sq) for h, r, o in stats if h > 0 or r > 0
+
+def _order_stats(symbols, lengths, hyp, ref, max_n):
+    """Per order 1..max_n: (hypothesis totals, reference totals, overlaps),
+    each an int64 array over the pairs. `symbols` holds every sequence's
+    symbols back to back; sequence s has lengths[s] of them; pair k scores
+    sequence hyp[k] against sequence ref[k]."""
+    ends = np.cumsum(lengths)
+    seq_of = np.repeat(np.arange(len(lengths)), lengths)
+    pos = np.arange(len(symbols))
+    gram = symbols
+    n_symbols = n_ids = int(symbols.max()) + 1 if len(symbols) else 1
+    stats = []
+    for n in range(1, max_n + 1):
+        if n > 1:
+            # positions whose n-gram still fits inside its own sequence
+            fits = pos + (n - 1) < ends[seq_of]
+            pos, seq_of, gram = pos[fits], seq_of[fits], gram[fits]
+            key = gram * n_symbols + symbols[pos + (n - 1)]
+            grams, gram = np.unique(key, return_inverse=True)
+            n_ids = len(grams)
+        totals = np.maximum(lengths - (n - 1), 0)
+        stats.append((totals[hyp], totals[ref], _overlaps(seq_of, gram, n_ids, hyp, ref)))
+    return stats
+
+
+def _overlaps(seq_of, gram, n_grams, hyp, ref):
+    """Clipped n-gram overlap of each pair: for every distinct gram of the
+    hypothesis, min(its count there, its count in the reference)."""
+    keys, counts = np.unique(seq_of * n_grams + gram, return_counts=True)
+    first = np.searchsorted(keys, hyp * n_grams)
+    distinct = np.searchsorted(keys, (hyp + 1) * n_grams) - first
+    stops = np.cumsum(distinct)
+    # one row per (pair, distinct hypothesis gram): its index into keys
+    entry = np.arange(stops[-1]) + np.repeat(first - stops + distinct, distinct)
+    wanted = np.repeat(ref * n_grams, distinct) + keys[entry] % n_grams
+    found = np.minimum(np.searchsorted(keys, wanted), max(len(keys) - 1, 0))
+    clipped = np.where(keys[found] == wanted, np.minimum(counts[entry], counts[found]), 0)
+    running = np.concatenate([[0], np.cumsum(clipped)])
+    return running[stops] - running[stops - distinct]
+
+
+def _average_fscores(stats, beta_sq: float, n_pairs: int) -> list[float]:
+    """Per pair, the mean F-beta over orders where either side has n-grams.
+
+    Same IEEE operations in the same order as the scalar formula
+        p = overlap / hyp_total; r = overlap / ref_total
+        f = (1 + beta_sq) * p * r / (beta_sq * p + r)   (0 when p + r == 0)
+    and one math.fsum per pair, so every score is bit-identical to it.
+    """
+    fscores = np.zeros((n_pairs, len(stats)))
+    counted = np.zeros(n_pairs, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for order, (hyp_total, ref_total, overlap) in enumerate(stats):
+            precision = np.where(hyp_total > 0, overlap / hyp_total, 0.0)
+            recall = np.where(ref_total > 0, overlap / ref_total, 0.0)
+            f = (1 + beta_sq) * precision * recall / (beta_sq * precision + recall)
+            # orders with no n-grams on either side add an exact 0 to the fsum
+            fscores[:, order] = np.where(precision + recall == 0.0, 0.0, f)
+            counted += (hyp_total > 0) | (ref_total > 0)
+    return [
+        math.fsum(row) / count if count else 0.0
+        for row, count in zip(fscores.tolist(), counted.tolist())
     ]
-    if not scores:
-        return 0.0
-    return math.fsum(scores) / len(scores)

@@ -18,20 +18,21 @@ class SpearmanResult(NamedTuple):
 
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:
-    """1-based ranks, ties receiving the mean of their positional ranks."""
+    """1-based ranks, ties receiving the mean of their positional ranks.
+
+    NaN equals nothing, so each NaN is a group of its own.
+    """
     a = np.asarray(values, dtype=np.float64)
     order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts_run = np.ones(len(a), dtype=bool)
+    starts_run[1:] = ordered[1:] != ordered[:-1]
+    # 0-based sorted positions first..last of each run of equal values
+    first = np.flatnonzero(starts_run)
+    sizes = np.diff(np.append(first, len(a)))
+    last = first + sizes - 1
     ranks = np.empty(len(a), dtype=np.float64)
-    i = 0
-    while i < len(a):
-        j = i
-        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        # positions i..j (0-based) share the mean of ranks i+1..j+1
-        mean_rank = (i + j + 2) / 2.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
+    ranks[order] = np.repeat((first + last + 2) / 2.0, sizes)
     return ranks
 
 

@@ -54,7 +54,7 @@ def _order_fscore(hyp_counts, ref_counts, beta):
     return (1.0 + b2) * precision * recall / (b2 * precision + recall)
 
 
-def brute_force_chrf(
+def brute_force_order_fscores(
     hypothesis,
     reference,
     char_max=6,
@@ -63,7 +63,8 @@ def brute_force_chrf(
     strip_whitespace=True,
     case_fold=False,
 ):
-    """Enumerate every n-gram order by hand and average the F-scores."""
+    """F-score of every n-gram order that has n-grams on either side,
+    character orders first, enumerated by hand."""
     hypothesis = unicodedata.normalize("NFC", hypothesis)
     reference = unicodedata.normalize("NFC", reference)
     if case_fold:
@@ -87,7 +88,12 @@ def brute_force_chrf(
         f = _order_fscore(_gram_counts(hyp_words, n), _gram_counts(ref_words, n), beta)
         if f is not None:
             fscores.append(f)
+    return fscores
 
+
+def brute_force_chrf(hypothesis, reference, **options):
+    """Enumerate every n-gram order by hand and average the F-scores."""
+    fscores = brute_force_order_fscores(hypothesis, reference, **options)
     if not fscores:
         return 0.0
     total = 0.0

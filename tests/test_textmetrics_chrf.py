@@ -1,15 +1,15 @@
+import importlib
+import math
 import unicodedata
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xlconsist.textmetrics import ChrfConfig, chrf
-from xlconsist.textmetrics import _ngram_py
-from xlconsist.textmetrics.chrf import backend_name
+from xlconsist.textmetrics import ChrfConfig, chrf, chrf_batch
 
 from multilingual_pairs import PAIRS
-from oracles import brute_force_chrf
+from oracles import brute_force_chrf, brute_force_order_fscores
 
 CHAR_ONLY_B1 = ChrfConfig(char_ngram_max=2, word_ngram_max=0, beta=1.0)
 
@@ -119,22 +119,68 @@ def test_beta_one_is_symmetric(hyp, ref):
     assert chrf(hyp, ref, cfg) == pytest.approx(chrf(ref, hyp, cfg), abs=1e-12)
 
 
-@pytest.mark.skipif(backend_name() != "cython", reason="extension not built")
-def test_backends_agree_exactly():
-    from xlconsist.textmetrics import _ngram_cy
+# the batched path against the oracle's per-order F-scores, averaged with
+# fsum as the scorer does, compared with ==
+BATCH_PAIRS = PAIRS + [
+    ("", ""),
+    ("", "Jane Austen"),
+    ("Jane Austen", ""),
+    ("   ", " \t\n"),
+    ("a\ud800b", "a\ud800b"),
+    ("a\ud800b", "ab"),
+    ("\ud800", "\udc00"),
+    ("😀 🎉 party", "party 🎉"),
+    (unicodedata.normalize("NFD", "café Zürich"), "café Zürich"),
+    ("aaaa", "aa"),
+    ("aa", "aaaa"),
+    ("Paris", "Paris"),
+    ("Paris", "Paris"),
+]
+BATCH_CONFIGS = [
+    (ChrfConfig(), {}),
+    (ChrfConfig(case_fold=True), dict(case_fold=True)),
+    (ChrfConfig(strip_whitespace_for_char_ngrams=False), dict(strip_whitespace=False)),
+    (ChrfConfig(word_ngram_max=0), dict(word_max=0)),
+    (ChrfConfig(char_ngram_max=1), dict(char_max=1)),
+    (ChrfConfig(char_ngram_max=9, word_ngram_max=4), dict(char_max=9, word_max=4)),
+]
 
-    for hyp, ref in PAIRS:
-        h = hyp.replace(" ", "")
-        r = ref.replace(" ", "")
-        assert _ngram_cy.char_ngram_stats(h, r, 6) == _ngram_py.char_ngram_stats(h, r, 6)
-        assert _ngram_cy.word_ngram_stats(
-            hyp.split(), ref.split(), 2
-        ) == _ngram_py.word_ngram_stats(hyp.split(), ref.split(), 2)
+
+def oracle_chrf(hyp, ref, **options):
+    fscores = brute_force_order_fscores(hyp, ref, **options)
+    return math.fsum(fscores) / len(fscores) if fscores else 0.0
 
 
-@pytest.mark.skipif(backend_name() != "cython", reason="extension not built")
-@given(st.text(max_size=30), st.text(max_size=30))
-def test_backends_agree_on_random_text(hyp, ref):
-    from xlconsist.textmetrics import _ngram_cy
+@pytest.mark.parametrize("cfg, options", BATCH_CONFIGS)
+def test_batch_equals_oracle(cfg, options):
+    hyps = [hyp for hyp, _ in BATCH_PAIRS]
+    refs = [ref for _, ref in BATCH_PAIRS]
+    expected = [oracle_chrf(hyp, ref, **options) for hyp, ref in BATCH_PAIRS]
+    assert chrf_batch(hyps, refs, cfg) == expected
+    assert [chrf(hyp, ref, cfg) for hyp, ref in BATCH_PAIRS] == expected
 
-    assert _ngram_cy.char_ngram_stats(hyp, ref, 4) == _ngram_py.char_ngram_stats(hyp, ref, 4)
+
+def test_batch_empty_and_length_mismatch():
+    assert chrf_batch([], []) == []
+    with pytest.raises(ValueError):
+        chrf_batch(["a"], [])
+
+
+def test_chunking_does_not_change_scores(monkeypatch):
+    hyps = [hyp for hyp, _ in BATCH_PAIRS]
+    refs = [ref for _, ref in BATCH_PAIRS]
+    whole = chrf_batch(hyps, refs)
+    module = importlib.import_module("xlconsist.textmetrics.chrf")
+    for chunk_chars in (1, 3, 7, 40):
+        monkeypatch.setattr(module, "CHUNK_CHARS", chunk_chars)
+        assert chrf_batch(hyps, refs) == whole
+
+
+batch_text = st.text(alphabet=st.sampled_from(list("ab cé\tΑ東́\ud800😀")), max_size=14)
+
+
+@given(st.lists(st.tuples(batch_text, batch_text), max_size=12), st.sampled_from(BATCH_CONFIGS))
+def test_batch_equals_oracle_on_random_batches(pairs, config):
+    cfg, options = config
+    scores = chrf_batch([hyp for hyp, _ in pairs], [ref for _, ref in pairs], cfg)
+    assert scores == [oracle_chrf(hyp, ref, **options) for hyp, ref in pairs]

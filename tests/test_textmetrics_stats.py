@@ -28,6 +28,44 @@ def test_average_ranks_with_ties():
     assert average_ranks([10, 20, 20, 30, 30]).tolist() == [1.0, 2.5, 2.5, 4.5, 4.5]
 
 
+def loop_average_ranks(values):
+    """The element-by-element tie walk that average_ranks vectorises."""
+    a = np.asarray(values, dtype=np.float64)
+    order = np.argsort(a, kind="stable")
+    ranks = np.empty(len(a), dtype=np.float64)
+    i = 0
+    while i < len(a):
+        j = i
+        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
+            j += 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = (i + j + 2) / 2.0
+        i = j + 1
+    return ranks
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [5.0],
+        [3.0, 3.0, 3.0],
+        [0.0, -0.0, 1.0, 0.0],
+        [math.nan, 1.0, math.nan, 1.0, 0.5],
+        [math.nan, math.nan],
+        [math.inf, -math.inf, math.inf, 2.0],
+    ],
+)
+def test_average_ranks_matches_loop_with_ties_and_nan(values):
+    got = average_ranks(values)
+    assert got.tobytes() == loop_average_ranks(values).tobytes()
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0, 1.0, math.nan, math.inf]), max_size=30))
+def test_average_ranks_matches_loop_on_random_ties(values):
+    assert average_ranks(values).tobytes() == loop_average_ranks(values).tobytes()
+
+
 def test_spearman_identity_and_reversal():
     x = [0.2, 0.5, 0.9, 0.1]
     assert spearman(x, x) == 1.0
