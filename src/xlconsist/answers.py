@@ -36,6 +36,7 @@ class AnswerSet:
     answers: dict[tuple[str, str], str] = field(default_factory=dict)
     raw: dict[tuple[str, str], str] = field(default_factory=dict)
     statuses: dict[tuple[str, str], str] = field(default_factory=dict)
+    attempts: dict[tuple[str, str], int] = field(default_factory=dict)  # from the store only
 
     def set_answer(self, lang: str, item_id: str, raw: str, text: str, status: str) -> None:
         key = (lang, item_id)
@@ -141,4 +142,6 @@ def load_answers(path: str | Path) -> AnswerSet:
             record["text"],
             record.get("status", STATUS_OK),
         )
+        if "attempts" in record:
+            answer_set.attempts[(record["lang"], record["item"])] = record["attempts"]
     return answer_set

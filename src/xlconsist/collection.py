@@ -1,17 +1,22 @@
 """Answer collection over a chat-completions endpoint, few-shot style.
 
 Each request carries sampled exemplar QA pairs as prior turns and the
-target question as the final user message. Completed cells are appended
-to the answers store immediately, so an interrupted run resumes by
-filling only the missing cells. Raw completions are stored verbatim next
-to the post-processed answer so answers can be re-extracted later.
+target question as the final user message. Worker threads send them
+through one `transport.Transport`, one keep-alive connection per
+thread; `ChatClient` adds retries with jittered backoff on top. Completed
+cells are appended to the answers store immediately, so an interrupted
+run resumes by filling only the missing cells; a store collected with
+another run id, variant, seed, model or dataset is refused. Raw
+completions are stored verbatim next to the post-processed answer so
+answers can be re-extracted later, and the run manifest records each
+cell's status and attempts.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
-import os
 import random
 import threading
 import time
@@ -20,8 +25,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from importlib.resources import files
 from pathlib import Path
-
-import requests
 
 from .answers import (
     STATUS_FAILED,
@@ -33,6 +36,7 @@ from .answers import (
 )
 from .dataset import Dataset, QAItem
 from .errors import AuthenticationError, ParaphraseMissingError, ProviderError, XlconsistError
+from .transport import Transport
 
 log = logging.getLogger(__name__)
 
@@ -218,12 +222,8 @@ class ChatClient:
 
     def __init__(self, cfg: CollectionConfig):
         self.cfg = cfg
-        self.session = requests.Session()
+        self.transport = Transport(cfg.endpoint, cfg.timeout, cfg.token_env)
         self._jitter = random.Random(cfg.exemplar_seed)
-
-    def _headers(self) -> dict:
-        token = os.environ.get(self.cfg.token_env)
-        return {"Authorization": f"Bearer {token}"} if token else {}
 
     def complete(self, messages: list[dict]) -> tuple[str, int]:
         """Returns (completion text, attempts used); raises after retries."""
@@ -239,26 +239,19 @@ class ChatClient:
                 base = self.cfg.backoff_base * 2 ** (attempt - 2)
                 time.sleep(base * (0.5 + self._jitter.random()))
             try:
-                response = self.session.post(
-                    self.cfg.endpoint,
-                    json=payload,
-                    headers=self._headers(),
-                    timeout=self.cfg.timeout,
-                )
-            except requests.RequestException as exc:
+                status, body = self.transport.post(payload)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            if response.status_code in (401, 403):
-                raise AuthenticationError(
-                    f"endpoint rejected credentials ({response.status_code})"
-                )
-            if response.status_code in self.RETRYABLE:
-                last_error = ProviderError(f"HTTP {response.status_code}")
+            if status in (401, 403):
+                raise AuthenticationError(f"endpoint rejected credentials ({status})")
+            if status in self.RETRYABLE:
+                last_error = ProviderError(f"HTTP {status}")
                 continue
-            if response.status_code != 200:
-                raise ProviderError(f"HTTP {response.status_code}: {response.text[:200]}")
+            if status != 200:
+                raise ProviderError(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
             try:
-                content = response.json()["choices"][0]["message"]["content"]
+                content = json.loads(body)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError) as exc:
                 last_error = ProviderError(f"malformed completion response: {exc}")
                 continue
@@ -382,6 +375,7 @@ def collect_answers(
         for domain in domains
     }
 
+    client = ChatClient(cfg)
     done: dict[tuple[str, str], str] = {}
     if store_path.exists() and store_path.stat().st_size > 0:
         existing = load_answers(store_path)
@@ -393,6 +387,16 @@ def collect_answers(
             raise XlconsistError(
                 f"{store_path} belongs to run {existing.run_id!r} "
                 f"(variant {existing.prompt_variant}, seed {existing.seed}); refusing to mix"
+            )
+        if existing.model_id != cfg.model:
+            raise XlconsistError(
+                f"{store_path} holds answers of model {existing.model_id!r}, "
+                f"not {cfg.model!r}; refusing to mix"
+            )
+        if existing.dataset_hash and dataset_digest and existing.dataset_hash != dataset_digest:
+            raise XlconsistError(
+                f"{store_path} was collected against dataset {existing.dataset_hash}, "
+                f"not {dataset_digest}; refusing to mix"
             )
         done = dict(existing.statuses)
     else:
@@ -415,7 +419,6 @@ def collect_answers(
                 continue
             pending.append((item, domain, lang))
 
-    client = ChatClient(cfg)
     bucket = TokenBucket(cfg.rate_limit_rps, burst=float(cfg.concurrency))
     started = _now()
     write_lock = threading.Lock()
@@ -453,6 +456,7 @@ def collect_answers(
                 raise
     finally:
         store_handle.close()
+        client.transport.close()
 
     answer_set = load_answers(store_path)
     manifest = RunManifest(
@@ -463,8 +467,8 @@ def collect_answers(
             domain: [e.id for e in exemplars] for domain, exemplars in exemplars_by_domain.items()
         },
         statuses={
-            f"{lang}/{item_id}": {"status": status}
-            for (lang, item_id), status in sorted(answer_set.statuses.items())
+            "/".join(key): {"status": status, "attempts": answer_set.attempts.get(key)}
+            for key, status in sorted(answer_set.statuses.items())
         },
         started_at=started,
         finished_at=_now(),

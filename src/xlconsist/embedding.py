@@ -24,7 +24,8 @@ truncated final record, so a crashed run never loses committed vectors.
 from __future__ import annotations
 
 import hashlib
-import os
+import http.client
+import json
 import struct
 import threading
 import time
@@ -34,9 +35,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from .errors import AuthenticationError, CacheMissError, DimensionMismatchError, ProviderError
+from .transport import Transport
 
 _FILE_MAGIC = b"XLCVEC1\n"
 _FOOTER_MAGIC = b"XLCFTR1\n"
@@ -263,11 +264,7 @@ class CacheOnlyProvider:
 class HTTPProvider:
     def __init__(self, cfg: EmbeddingProviderConfig):
         self.cfg = cfg
-        self.session = requests.Session()
-
-    def _headers(self) -> dict:
-        token = os.environ.get(self.cfg.token_env)
-        return {"Authorization": f"Bearer {token}"} if token else {}
+        self.transport = Transport(cfg.endpoint, cfg.timeout, cfg.token_env)
 
     def fetch(self, texts: list[str]) -> list[np.ndarray]:
         last_error: Exception | None = None
@@ -275,24 +272,18 @@ class HTTPProvider:
             if attempt:
                 time.sleep(self.cfg.backoff_base * 2 ** (attempt - 1))
             try:
-                response = self.session.post(
-                    self.cfg.endpoint,
-                    json={"texts": texts},
-                    headers=self._headers(),
-                    timeout=self.cfg.timeout,
-                )
-            except requests.RequestException as exc:
+                status, body = self.transport.post({"texts": texts})
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            if response.status_code in (401, 403):
-                raise AuthenticationError(
-                    f"embedding endpoint rejected credentials ({response.status_code})"
-                )
-            if response.status_code != 200:
-                last_error = ProviderError(f"HTTP {response.status_code}: {response.text[:200]}")
+            if status in (401, 403):
+                raise AuthenticationError(f"embedding endpoint rejected credentials ({status})")
+            if status != 200:
+                preview = body.decode("utf-8", "replace")[:200]
+                last_error = ProviderError(f"HTTP {status}: {preview}")
                 continue
             try:
-                vectors = response.json()["vectors"]
+                vectors = json.loads(body)["vectors"]
             except (ValueError, KeyError) as exc:
                 last_error = ProviderError(f"malformed embedding response: {exc}")
                 continue

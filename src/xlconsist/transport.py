@@ -1,0 +1,121 @@
+"""JSON POST over `http.client`, shared by the chat and embedding clients.
+
+One `Transport` per client. The endpoint URL is parsed, and the proxy
+resolved from the environment (`HTTP_PROXY`, `HTTPS_PROXY`, `NO_PROXY`),
+once. Each thread keeps one connection and reuses it while the server
+keeps it alive. A request that fails on a reused connection before a
+status line arrives is resent once on a fresh connection: the server
+most likely closed it while it sat idle. TLS verifies certificates and
+host names against the system trust store (OpenSSL honours
+`SSL_CERT_FILE`). Retries, backoff and status policy stay with the
+caller; `post` returns the status and body of one exchange.
+"""
+
+from __future__ import annotations
+
+import base64
+import http.client
+import json
+import os
+import ssl
+import threading
+import urllib.request
+from urllib.parse import unquote, urlsplit
+
+from .errors import XlconsistError
+
+# what a reused connection that the server has closed raises before any
+# status line; http.client.RemoteDisconnected is a ConnectionResetError
+_STALE_ERRORS = (ConnectionResetError, BrokenPipeError)
+
+
+def _basic(username: str, password: str) -> str:
+    credentials = f"{unquote(username)}:{unquote(password)}".encode("latin-1")
+    return "Basic " + base64.b64encode(credentials).decode("ascii")
+
+
+class Transport:
+    """POSTs JSON to one endpoint; one keep-alive connection per thread."""
+
+    def __init__(self, endpoint: str, timeout: float, token_env: str):
+        url = urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise XlconsistError(f"endpoint {endpoint!r} is not an http(s) URL")
+        self.timeout = timeout
+        self.token_env = token_env
+        self._context = ssl.create_default_context() if url.scheme == "https" else None
+        host, port = url.hostname, url.port or (443 if self._context else 80)
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json"}
+        self._address = (host, port)
+        self._tunnel = None
+
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(host):
+            proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if proxy_url.scheme != "http" or not proxy_url.hostname:
+                raise XlconsistError(f"proxy {proxy!r} is not an http:// URL")
+            self._address = (proxy_url.hostname, proxy_url.port or 80)
+            auth = {}
+            if proxy_url.username is not None:
+                auth["Proxy-Authorization"] = _basic(proxy_url.username, proxy_url.password or "")
+            if self._context:
+                self._tunnel = (host, port, auth)
+            else:
+                # a plain-HTTP proxy takes the absolute URI as the request target
+                self._target = f"http://{url.netloc.rpartition('@')[2]}{self._target}"
+                self._headers.update(auth)
+
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: list[http.client.HTTPConnection] = []
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            if self._context:
+                conn = http.client.HTTPSConnection(
+                    *self._address, timeout=self.timeout, context=self._context
+                )
+            else:
+                conn = http.client.HTTPConnection(*self._address, timeout=self.timeout)
+            if self._tunnel:
+                conn.set_tunnel(*self._tunnel)
+            self._local.conn = conn
+            with self._lock:
+                self._connections.append(conn)
+        return conn
+
+    def post(self, payload) -> tuple[int, bytes]:
+        """One exchange: (HTTP status, response body). Raises OSError or
+        http.client.HTTPException when no complete response arrives."""
+        body = json.dumps(payload, allow_nan=False).encode()
+        headers = dict(self._headers)
+        token = os.environ.get(self.token_env)
+        if token:
+            headers["Authorization"] = f"Bearer {token}"
+        conn = self._connection()
+        try:
+            response = self._send(conn, body, headers)
+            return response.status, response.read()
+        except BaseException:
+            conn.close()  # the next request opens a fresh one
+            raise
+
+    def _send(self, conn, body: bytes, headers: dict) -> http.client.HTTPResponse:
+        reused = conn.sock is not None
+        try:
+            conn.request("POST", self._target, body, headers)
+            return conn.getresponse()
+        except _STALE_ERRORS:
+            if not reused:
+                raise
+            conn.close()
+        conn.request("POST", self._target, body, headers)
+        return conn.getresponse()
+
+    def close(self) -> None:
+        """Close every thread's connection; a later post reopens its own."""
+        with self._lock:
+            for conn in self._connections:
+                conn.close()

@@ -264,6 +264,19 @@ def test_retry_then_success_logs_attempts(tmp_path):
         server.shutdown()
 
 
+def test_manifest_records_attempts(tmp_path, flaky_server):
+    url, handler = flaky_server
+    handler.fail_times = 2
+    d = mini_fixture().subset(["en", "de"])
+    d = type(d)(languages=d.languages, qa_items=d.qa_items[:1], few_shot_pool=d.few_shot_pool)
+    cfg = make_cfg(url, shots=0, max_attempts=3)
+    _, manifest = collect_answers(d, d.languages, cfg, tmp_path / "a.jsonl", run_id="t-run")
+    expected = {"status": STATUS_OK, "attempts": 3}
+    assert manifest.statuses == {"en/geo-01": expected, "de/geo-01": expected}
+    loaded = RunManifest.load(str(tmp_path / "a.jsonl") + ".manifest.json")
+    assert loaded.statuses == manifest.statuses
+
+
 def test_always_failing_server_yields_failed_cells(tmp_path, flaky_server):
     url, handler = flaky_server
     handler.always_fail = True
@@ -335,6 +348,31 @@ def test_resume_refuses_mismatched_run(tmp_path):
         cfg = make_cfg(server.url, exemplar_seed=99)
         with pytest.raises(XlconsistError, match="refusing to mix"):
             collect_answers(dataset, dataset.languages, cfg, tmp_path / "a.jsonl", run_id="t-run")
+
+
+def test_resume_refuses_other_model(tmp_path):
+    with MockLLMServer(mini_fixture_answers()) as server:
+        collect_fixture(tmp_path / "a.jsonl", server.url)
+        dataset = mini_fixture()
+        cfg = make_cfg(server.url, model="other-model")
+        with pytest.raises(XlconsistError, match="'canned'.*'other-model'"):
+            collect_answers(dataset, dataset.languages, cfg, tmp_path / "a.jsonl", run_id="t-run")
+
+
+def test_resume_refuses_other_dataset(tmp_path):
+    with MockLLMServer(mini_fixture_answers()) as server:
+        collect_fixture(tmp_path / "a.jsonl", server.url)  # dataset_digest="digest"
+        dataset = mini_fixture()
+        cfg = make_cfg(server.url)
+        with pytest.raises(XlconsistError, match="digest, not other-digest"):
+            collect_answers(
+                dataset, dataset.languages, cfg, tmp_path / "a.jsonl",
+                run_id="t-run", dataset_digest="other-digest",
+            )
+        # no digest on one side: nothing to compare, the resume goes ahead
+        before = server.request_count
+        collect_answers(dataset, dataset.languages, cfg, tmp_path / "a.jsonl", run_id="t-run")
+        assert server.request_count == before
 
 
 def test_fallback_answer_is_stable():
