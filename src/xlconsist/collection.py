@@ -6,7 +6,7 @@ through one `transport.Transport`, one keep-alive connection per
 thread; `ChatClient` adds retries with jittered backoff on top. Completed
 cells are appended to the answers store immediately, so an interrupted
 run resumes by filling only the missing cells; a store collected with
-another run id, variant, seed, model or dataset is refused. Raw
+another run id, variant, seed, model, dataset or shot count is refused. Raw
 completions are stored verbatim next to the post-processed answer so
 answers can be re-extracted later, and the run manifest records each
 cell's status and attempts.
@@ -377,6 +377,8 @@ def collect_answers(
 
     client = ChatClient(cfg)
     done: dict[tuple[str, str], str] = {}
+    manifest_path = Path(str(store_path) + ".manifest.json")
+    started = _now()
     if store_path.exists() and store_path.stat().st_size > 0:
         existing = load_answers(store_path)
         if (existing.run_id, existing.prompt_variant, existing.seed) != (
@@ -398,7 +400,16 @@ def collect_answers(
                 f"{store_path} was collected against dataset {existing.dataset_hash}, "
                 f"not {dataset_digest}; refusing to mix"
             )
+        with open(store_path, encoding="utf-8") as handle:
+            stored_shots = json.loads(handle.readline()).get("shots")
+        if stored_shots is not None and stored_shots != cfg.shots:
+            raise XlconsistError(
+                f"{store_path} was collected with {stored_shots} shots, "
+                f"not {cfg.shots}; refusing to mix"
+            )
         done = dict(existing.statuses)
+        if manifest_path.exists():
+            started = RunManifest.load(manifest_path).started_at or started
     else:
         header_set = AnswerSet(
             run_id=run_id,
@@ -407,7 +418,9 @@ def collect_answers(
             seed=cfg.exemplar_seed,
             dataset_hash=dataset_digest,
         )
-        write_answer_header(store_path, header_set, extra={"endpoint": cfg.endpoint})
+        write_answer_header(
+            store_path, header_set, extra={"endpoint": cfg.endpoint, "shots": cfg.shots}
+        )
 
     pending = []
     for item, domain in cells:
@@ -420,7 +433,6 @@ def collect_answers(
             pending.append((item, domain, lang))
 
     bucket = TokenBucket(cfg.rate_limit_rps, burst=float(cfg.concurrency))
-    started = _now()
     write_lock = threading.Lock()
     store_handle = open(store_path, "a", encoding="utf-8")
 
@@ -473,5 +485,5 @@ def collect_answers(
         started_at=started,
         finished_at=_now(),
     )
-    manifest.save(str(store_path) + ".manifest.json")
+    manifest.save(manifest_path)
     return answer_set, manifest

@@ -10,6 +10,11 @@ pair is computed once; the mean over ordered pairs (the defining form)
 is identical and is asserted so in the tests. Scalar aggregation uses
 math.fsum over pairs ordered by language code, which makes scores
 bit-identical under any permutation of the dataset's language order.
+
+xAC and xTC score one chrF batch ("job") per language. `build_report`
+runs those jobs in forked worker processes, one per CPU in the affinity
+mask, while it computes xSC; each job's scores are the same wherever it
+runs, so the report does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import csv
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -199,17 +205,20 @@ def xsc(
     item_ids = [item_id for item_id, _ in entries]
     answers.check_coverage(languages, item_ids)
 
-    # one embedding matrix per language, rows pre-normalized
-    normalized = {}
-    for lang in languages:
-        matrix = embedder.embed_batch([answers.answer(lang, item_id) for item_id in item_ids])
-        norms = np.sqrt((matrix * matrix).sum(axis=1))
-        safe = np.where(norms > 0, norms, 1.0)
-        normalized[lang] = matrix / safe[:, None]
+    # each distinct answer is embedded once; rows[i, k] is the row of
+    # language i's answer to item k
+    distinct: dict[str, int] = {}
+    rows = np.empty((len(languages), len(item_ids)), dtype=np.intp)
+    for i, lang in enumerate(languages):
+        rows[i] = [distinct.setdefault(answers.answer(lang, k), len(distinct)) for k in item_ids]
+    # embed_batch returns a fresh array, so its rows are normalized in place
+    unit = np.asarray(embedder.embed_batch(list(distinct)), dtype=np.float64)
+    norms = np.sqrt((unit * unit).sum(axis=1))
+    unit /= np.where(norms > 0, norms, 1.0)[:, None]
     pairs = PairMatrix.index_pairs(languages)
     cosines = np.empty((len(pairs), len(item_ids)))
     for row, (i, j) in enumerate(pairs):
-        cosines[row] = (normalized[languages[i]] * normalized[languages[j]]).sum(axis=1)
+        cosines[row] = (unit[rows[i]] * unit[rows[j]]).sum(axis=1)
     matrix = _cosine_matrix(languages, cosines, np.ones(len(item_ids), dtype=bool))
     return MetricResult(matrix.mean_offdiagonal(), matrix, cosines)
 
@@ -224,6 +233,36 @@ def _cosine_matrix(languages, cosines: np.ndarray, items: np.ndarray) -> PairMat
     return PairMatrix(languages, values)
 
 
+def _chrf_job(job, cfg: ChrfConfig) -> list[float]:
+    """chrF of one job's (hypotheses, references) pairs; module-level so a
+    worker process can unpickle it."""
+    hypotheses, references = job
+    return chrf_batch(hypotheses, references, cfg)
+
+
+def _accuracy_jobs(answers: AnswerSet, dataset: Dataset, domains=None, include_timeliness=False):
+    """One chrF job per language: each answer against its own-language truth."""
+    entries = _select_items(dataset, domains, include_timeliness)
+    answers.check_coverage(dataset.languages, [item_id for item_id, _ in entries])
+    return [
+        (
+            [answers.answer(lang, item_id) for item_id, _ in entries],
+            [truth[lang] for _, truth in entries],
+        )
+        for lang in dataset.languages
+    ]
+
+
+def _xac_jobs(answers: AnswerSet, dataset: Dataset, domains=None, include_timeliness=False):
+    if len(dataset.languages) < 2:
+        raise ValueError("xac needs at least 2 languages")
+    jobs = _accuracy_jobs(answers, dataset, domains, include_timeliness)
+    length = len(jobs[0][0])
+    if length < 2:
+        raise ValueError(f"xac needs at least 2 items, got {length}")
+    return jobs
+
+
 def accuracy_vectors(
     answers: AnswerSet,
     dataset: Dataset,
@@ -233,19 +272,12 @@ def accuracy_vectors(
     include_timeliness: bool = False,
 ) -> dict[str, np.ndarray]:
     """Per-language chrF of each answer against its own-language ground truth."""
-    entries = _select_items(dataset, domains, include_timeliness)
-    item_ids = [item_id for item_id, _ in entries]
-    answers.check_coverage(dataset.languages, item_ids)
-    vectors = {}
-    for lang in dataset.languages:
-        vectors[lang] = np.array(
-            chrf_batch(
-                [answers.answer(lang, item_id) for item_id, _ in entries],
-                [truth[lang] for _, truth in entries],
-                chrf_cfg,
-            )
-        )
-    return vectors
+    jobs = _accuracy_jobs(answers, dataset, domains, include_timeliness)
+    return _accuracy_vectors(dataset, [_chrf_job(job, chrf_cfg) for job in jobs])
+
+
+def _accuracy_vectors(dataset: Dataset, scores) -> dict[str, np.ndarray]:
+    return {lang: np.array(row) for lang, row in zip(dataset.languages, scores)}
 
 
 def _rank_correlation_matrix(languages, vectors) -> PairMatrix:
@@ -257,6 +289,11 @@ def _rank_correlation_matrix(languages, vectors) -> PairMatrix:
         values[i, j] = values[j, i] = result.value
         degenerate[i, j] = degenerate[j, i] = result.degenerate
     return PairMatrix(languages, values, degenerate)
+
+
+def _rank_result(languages, vectors) -> MetricResult:
+    matrix = _rank_correlation_matrix(languages, vectors)
+    return MetricResult(matrix.mean_offdiagonal(), matrix)
 
 
 def xac(
@@ -272,16 +309,9 @@ def xac(
     Degenerate pairs (a constant accuracy vector on either side) score 0
     and stay in the denominator; their count is carried on the matrix.
     """
-    if len(dataset.languages) < 2:
-        raise ValueError("xac needs at least 2 languages")
-    vectors = accuracy_vectors(
-        answers, dataset, chrf_cfg, domains=domains, include_timeliness=include_timeliness
-    )
-    length = len(next(iter(vectors.values())))
-    if length < 2:
-        raise ValueError(f"xac needs at least 2 items, got {length}")
-    matrix = _rank_correlation_matrix(dataset.languages, vectors)
-    return MetricResult(matrix.mean_offdiagonal(), matrix)
+    jobs = _xac_jobs(answers, dataset, domains, include_timeliness)
+    scores = [_chrf_job(job, chrf_cfg) for job in jobs]
+    return _rank_result(dataset.languages, _accuracy_vectors(dataset, scores))
 
 
 def timeliness_score(
@@ -318,6 +348,30 @@ def _recency_weighted(scores: list[float], mode: str, tau: float) -> float:
     return best / rank
 
 
+def _timeliness_jobs(answers: AnswerSet, dataset: Dataset):
+    """One chrF job per language: each answer against every candidate of its item."""
+    items = dataset.timeliness_items
+    answers.check_coverage(dataset.languages, [item.id for item in items])
+    jobs = []
+    for lang in dataset.languages:
+        hypotheses, references = [], []
+        for item in items:
+            hypotheses += [answers.answer(lang, item.id)] * len(item.candidates[lang])
+            references += item.candidates[lang]
+        jobs.append((hypotheses, references))
+    return jobs
+
+
+def _xtc_jobs(answers: AnswerSet, dataset: Dataset):
+    if len(dataset.languages) < 2:
+        raise ValueError("xtc needs at least 2 languages")
+    if len(dataset.timeliness_items) < 2:
+        raise ValueError(
+            f"xtc needs at least 2 timeliness items, got {len(dataset.timeliness_items)}"
+        )
+    return _timeliness_jobs(answers, dataset)
+
+
 def timeliness_vectors(
     answers: AnswerSet,
     dataset: Dataset,
@@ -327,22 +381,20 @@ def timeliness_vectors(
 ) -> dict[str, np.ndarray]:
     """Per-language timeliness score of each timeliness item; one chrF
     batch per language over every (answer, candidate) pair."""
-    items = dataset.timeliness_items
-    answers.check_coverage(dataset.languages, [item.id for item in items])
+    jobs = _timeliness_jobs(answers, dataset)
+    return _timeliness_vectors(dataset, [_chrf_job(job, chrf_cfg) for job in jobs], mode, tau)
+
+
+def _timeliness_vectors(dataset: Dataset, scores, mode: str, tau: float) -> dict[str, np.ndarray]:
+    """Each language's job scores, cut into items, as recency-weighted scores."""
     vectors = {}
-    for lang in dataset.languages:
-        hypotheses, references, ends = [], [], []
-        for item in items:
-            answer = answers.answer(lang, item.id)
-            for candidate in item.candidates[lang]:
-                hypotheses.append(answer)
-                references.append(candidate)
-            ends.append(len(references))
-        scores = chrf_batch(hypotheses, references, chrf_cfg)
-        starts = [0] + ends[:-1]
-        vectors[lang] = np.array(
-            [_recency_weighted(scores[start:end], mode, tau) for start, end in zip(starts, ends)]
-        )
+    for lang, row in zip(dataset.languages, scores):
+        values, start = [], 0
+        for item in dataset.timeliness_items:
+            end = start + len(item.candidates[lang])
+            values.append(_recency_weighted(row[start:end], mode, tau))
+            start = end
+        vectors[lang] = np.array(values)
     return vectors
 
 
@@ -355,15 +407,45 @@ def xtc(
     tau: float = 0.0,
 ) -> MetricResult:
     """Cross-lingual timeliness consistency over the timeliness subset."""
-    if len(dataset.languages) < 2:
-        raise ValueError("xtc needs at least 2 languages")
-    if len(dataset.timeliness_items) < 2:
-        raise ValueError(
-            f"xtc needs at least 2 timeliness items, got {len(dataset.timeliness_items)}"
-        )
-    vectors = timeliness_vectors(answers, dataset, chrf_cfg, mode, tau)
-    matrix = _rank_correlation_matrix(dataset.languages, vectors)
-    return MetricResult(matrix.mean_offdiagonal(), matrix)
+    jobs = _xtc_jobs(answers, dataset)
+    scores = [_chrf_job(job, chrf_cfg) for job in jobs]
+    return _rank_result(dataset.languages, _timeliness_vectors(dataset, scores, mode, tau))
+
+
+def _chrf_workers(n_jobs: int) -> int:
+    """Worker processes for n_jobs chrF jobs: one per CPU in the affinity
+    mask, at most one per job; 0 (run inline) without fork or
+    sched_getaffinity, or with one CPU."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 0
+    cpus = len(os.sched_getaffinity(0))
+    return min(cpus, n_jobs) if cpus > 1 else 0
+
+
+def _score_jobs(jobs, cfg: ChrfConfig, meanwhile):
+    """(chrF scores of every job, meanwhile()'s result).
+
+    With workers, the jobs run in forked worker processes while meanwhile()
+    runs here; fork, not spawn or forkserver, so no worker re-imports
+    __main__ or numpy. A worker's exception is raised here.
+    """
+    workers = _chrf_workers(len(jobs))
+    if not workers:
+        result = meanwhile()
+        return [_chrf_job(job, cfg) for job in jobs], result
+    # imported here, not at the top: `import xlconsist` (collect, validate)
+    # then loads no multiprocessing modules
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            futures = [pool.submit(_chrf_job, job, cfg) for job in jobs]
+            result = meanwhile()
+            return [future.result() for future in futures], result
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def xc(xsc_value: float, xac_value: float, xtc_value: float) -> float:
@@ -575,10 +657,23 @@ def build_report(
     include_timeliness: bool = False,
     provenance: dict | None = None,
 ) -> ConsistencyReport:
-    """Full scoring pass: all four metrics, matrices, per-domain table."""
-    semantic = xsc(answers, dataset, embedder, include_timeliness=include_timeliness)
-    accuracy = xac(answers, dataset, chrf_cfg, include_timeliness=include_timeliness)
-    timeliness = xtc(answers, dataset, chrf_cfg, mode=xtc_mode, tau=tau)
+    """Full scoring pass: all four metrics, matrices, per-domain table.
+
+    The xAC and xTC chrF jobs run in worker processes while xSC runs here
+    (see `_score_jobs`)."""
+    languages = dataset.languages
+    jobs = _xac_jobs(answers, dataset, include_timeliness=include_timeliness)
+    jobs += _xtc_jobs(answers, dataset)
+    scores, semantic = _score_jobs(
+        jobs,
+        chrf_cfg,
+        lambda: xsc(answers, dataset, embedder, include_timeliness=include_timeliness),
+    )
+    split = len(languages)
+    accuracy = _rank_result(languages, _accuracy_vectors(dataset, scores[:split]))
+    timeliness = _rank_result(
+        languages, _timeliness_vectors(dataset, scores[split:], xtc_mode, tau)
+    )
     combined, degenerate = xc_detailed(semantic.score, accuracy.score, timeliness.score)
     breakdown = _domain_table(dataset, semantic.item_cosines)
 

@@ -71,9 +71,6 @@ class TimelinessItem:
             {_nfc(str(k)): tuple(_nfc(str(c)) for c in v) for k, v in self.candidates.items()},
         )
 
-    def rank_count(self, lang: str) -> int:
-        return len(self.candidates[lang])
-
 
 @dataclass(frozen=True)
 class Dataset:

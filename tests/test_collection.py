@@ -242,6 +242,7 @@ def flaky_server():
     threading.Thread(target=server.serve_forever, daemon=True).start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", handler
     server.shutdown()
+    server.server_close()
 
 
 def test_retry_then_success_logs_attempts(tmp_path):
@@ -262,6 +263,7 @@ def test_retry_then_success_logs_attempts(tmp_path):
         assert all(record["attempts"] == 3 for record in records)
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_manifest_records_attempts(tmp_path, flaky_server):
@@ -374,6 +376,31 @@ def test_resume_refuses_other_dataset(tmp_path):
         collect_answers(dataset, dataset.languages, cfg, tmp_path / "a.jsonl", run_id="t-run")
         assert server.request_count == before
 
+
+
+def test_resume_refuses_other_shots(tmp_path):
+    with MockLLMServer(mini_fixture_answers()) as server:
+        collect_fixture(tmp_path / "a.jsonl", server.url)  # shots=2
+        header = json.loads((tmp_path / "a.jsonl").read_text().splitlines()[0])
+        assert header["shots"] == 2
+        dataset = mini_fixture()
+        cfg = make_cfg(server.url, shots=3)
+        with pytest.raises(XlconsistError, match="2 shots, not 3"):
+            collect_answers(dataset, dataset.languages, cfg, tmp_path / "a.jsonl", run_id="t-run")
+
+
+def test_resume_keeps_started_at(tmp_path):
+    store = tmp_path / "a.jsonl"
+    manifest_path = tmp_path / "a.jsonl.manifest.json"
+    with MockLLMServer(mini_fixture_answers()) as server:
+        collect_fixture(store, server.url)
+        recorded = json.loads(manifest_path.read_text())
+        recorded["started_at"] = "2001-02-03T04:05:06+00:00"
+        manifest_path.write_text(json.dumps(recorded))
+        _, manifest = collect_fixture(store, server.url)
+    assert manifest.started_at == "2001-02-03T04:05:06+00:00"
+    assert RunManifest.load(manifest_path).started_at == "2001-02-03T04:05:06+00:00"
+    assert manifest.finished_at > manifest.started_at
 
 def test_fallback_answer_is_stable():
     assert fallback_answer("who?") == fallback_answer("who?")

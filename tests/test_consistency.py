@@ -1,8 +1,15 @@
+import hashlib
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from xlconsist import consistency
 from xlconsist.answers import AnswerSet, ground_truth_answers
 from xlconsist.consistency import (
     FORMULA,
@@ -21,7 +28,7 @@ from xlconsist.consistency import (
 from xlconsist.dataset import Dataset, QAItem, TimelinessItem
 from xlconsist.embedding import Embedder, EmbeddingProviderConfig
 from xlconsist.errors import LanguageMismatchError, MissingAnswersError
-from xlconsist.fixtures import mini_fixture, mini_fixture_answers
+from xlconsist.fixtures import mini_fixture, mini_fixture_answers, synthetic_corpus
 
 from oracles import pearson_textbook, spearman_d2
 
@@ -598,3 +605,109 @@ def test_report_summary_mentions_degenerate_pairs():
         domain_xsc={}, degenerate_pairs={"xtc": result.degenerate_pairs},
     )
     assert "degenerate" in report.summary()
+
+
+# -- xSC embedding and the chrF worker pool -------------------------------------
+
+
+class SpyEmbedder:
+    """Records every embed_batch call of a mock Embedder."""
+
+    def __init__(self, dims=16):
+        self.inner = Embedder(EmbeddingProviderConfig(kind="mock", expected_dims=dims))
+        self.calls = []
+        self.workers_seen = []
+
+    def embed_batch(self, texts):
+        self.calls.append(list(texts))
+        self.workers_seen.append(len(multiprocessing.active_children()))
+        return self.inner.embed_batch(texts)
+
+    def describe(self):
+        return self.inner.describe()
+
+
+def synthetic_run(languages=("en", "de", "zh", "ja")):
+    """A multi-language corpus whose answers are right, cut short, stale or
+    missing, chosen by a hash of the cell."""
+    dataset = synthetic_corpus(languages=languages, domains=("history", "geography"))
+    truths = {item.id: item.answers for item in dataset.qa_items}
+    truths.update({item.id: item for item in dataset.timeliness_items})
+
+    def answer(lang, item_id):
+        level = hashlib.sha256(f"{lang}|{item_id}".encode()).digest()[0] % 4
+        truth = truths[item_id]
+        if not isinstance(truth, dict):
+            return truth.candidates[lang][level % 3] if level else "no idea"
+        text = truth[lang]
+        return (text, text[: len(text) // 2], "no idea", text.upper())[level]
+
+    return dataset, make_answers(dataset, answer)
+
+
+def test_xsc_embeds_each_distinct_answer_once():
+    dataset, answers = synthetic_run()
+    embedder = SpyEmbedder()
+    result = xsc(answers, dataset, embedder, include_timeliness=True)
+    assert len(embedder.calls) == 1
+    (texts,) = embedder.calls
+    assert sorted(texts) == sorted(set(answers.answers.values()))
+    # bit-identical to normalizing each language's own embedding matrix
+    languages = dataset.languages
+    item_ids = [item.id for item in dataset.qa_items + dataset.timeliness_items]
+    unit = {}
+    for lang in languages:
+        matrix = embedder.inner.embed_batch([answers.answer(lang, k) for k in item_ids])
+        norms = np.sqrt((matrix * matrix).sum(axis=1))
+        unit[lang] = matrix / np.where(norms > 0, norms, 1.0)[:, None]
+    for row, (i, j) in enumerate(PairMatrix.index_pairs(languages)):
+        expected = (unit[languages[i]] * unit[languages[j]]).sum(axis=1)
+        np.testing.assert_array_equal(result.item_cosines[row], expected)
+
+
+def test_pool_and_inline_reports_are_byte_identical(monkeypatch):
+    dataset, answers = synthetic_run()
+    embedder = SpyEmbedder()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    pooled = build_report(answers, dataset, embedder, xtc_mode=FORMULA, tau=0.3)
+    assert embedder.workers_seen == [3]
+    assert multiprocessing.active_children() == []
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    inline = build_report(answers, dataset, embedder, xtc_mode=FORMULA, tau=0.3)
+    assert embedder.workers_seen == [3, 0]
+    assert pooled.to_json() == inline.to_json()
+    assert inline.xac != 0.0 and inline.xtc != 0.0
+
+
+def test_pool_never_exceeds_one_worker_per_job(monkeypatch):
+    dataset, answers = synthetic_run(languages=("en", "de"))
+    embedder = SpyEmbedder()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    build_report(answers, dataset, embedder)
+    assert embedder.workers_seen == [4]  # two xAC jobs and two xTC jobs
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_exception_propagates(monkeypatch):
+    dataset, answers = synthetic_run(languages=("en", "de"))
+
+    def failing_chrf(hypotheses, references, cfg):
+        raise RuntimeError(f"chrF failed in process {os.getpid()}")
+
+    monkeypatch.setattr(consistency, "chrf_batch", failing_chrf)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(RuntimeError, match="chrF failed in process") as excinfo:
+        build_report(answers, dataset, SpyEmbedder())
+    assert int(str(excinfo.value).split()[-1]) != os.getpid()  # raised in a worker
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # the pool's modules load on the first pooled build_report, not with the package
+    src = Path(consistency.__file__).resolve().parents[1]
+    code = "import sys, xlconsist.cli; sys.exit('multiprocessing' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr or "xlconsist.cli imported multiprocessing"

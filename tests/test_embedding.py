@@ -82,8 +82,8 @@ def test_cache_survives_truncated_tail(tmp_path):
     np.testing.assert_array_equal(reopened.get(cache_key("kept")), [1.0, 2.0, 3.0])
     reopened.put(cache_key("new"), [7.0])
     reopened.close()
-    final = VectorCache(path)
-    assert final.keys() == {cache_key("kept"), cache_key("new")}
+    with VectorCache(path) as final:
+        assert final.keys() == {cache_key("kept"), cache_key("new")}
 
 
 def test_cache_put_is_idempotent(tmp_path):
@@ -136,9 +136,10 @@ def test_provider_config_validation():
 
 def test_embed_batch_orders_and_caches(tmp_path):
     cfg = EmbeddingProviderConfig(kind="mock", expected_dims=12)
-    embedder = Embedder(cfg, VectorCache(tmp_path / "c.bin"))
-    texts = ["uno", "dos", "uno", "tres"]
-    matrix = embedder.embed_batch(texts)
+    with VectorCache(tmp_path / "c.bin") as cache:
+        embedder = Embedder(cfg, cache)
+        texts = ["uno", "dos", "uno", "tres"]
+        matrix = embedder.embed_batch(texts)
     assert matrix.shape == (4, 12)
     np.testing.assert_array_equal(matrix[0], matrix[2])
     assert embedder.fetched_texts == 3  # "uno" fetched once
@@ -150,13 +151,14 @@ def test_cache_only_serves_warm_and_reports_misses(tmp_path):
     warm.embed_batch(["Argentina"])
     warm.cache.close()
 
-    cold = Embedder(EmbeddingProviderConfig(kind="cache-only", expected_dims=6), VectorCache(path))
-    out = cold.embed_batch(["Argentina"])
-    assert out.shape == (1, 6)
-    assert cold.fetched_texts == 0
+    with VectorCache(path) as cache:
+        cold = Embedder(EmbeddingProviderConfig(kind="cache-only", expected_dims=6), cache)
+        out = cold.embed_batch(["Argentina"])
+        assert out.shape == (1, 6)
+        assert cold.fetched_texts == 0
 
-    with pytest.raises(CacheMissError) as exc_info:
-        cold.embed_batch(["Argentina", "Brazil"])
+        with pytest.raises(CacheMissError) as exc_info:
+            cold.embed_batch(["Argentina", "Brazil"])
     assert cache_key("Brazil") in exc_info.value.missing_keys
 
 
@@ -167,8 +169,9 @@ def test_warm_cache_means_zero_fetches(tmp_path):
     a = first.embed_batch(["x", "y", "z"])
     first.cache.close()
 
-    second = Embedder(cfg, VectorCache(path))
-    b = second.embed_batch(["x", "y", "z"])
+    with VectorCache(path) as cache:
+        second = Embedder(cfg, cache)
+        b = second.embed_batch(["x", "y", "z"])
     assert second.fetched_texts == 0
     np.testing.assert_array_equal(a, b)
 
@@ -187,7 +190,8 @@ class _CountingProvider:
 
 def test_inflight_deduplication(tmp_path):
     cfg = EmbeddingProviderConfig(kind="mock", expected_dims=4)
-    embedder = Embedder(cfg, VectorCache(tmp_path / "c.bin"))
+    cache = VectorCache(tmp_path / "c.bin")
+    embedder = Embedder(cfg, cache)
     provider = _CountingProvider(4)
     embedder._provider = provider
 
@@ -202,6 +206,7 @@ def test_inflight_deduplication(tmp_path):
     provider.gate.set()
     for t in threads:
         t.join()
+    cache.close()
 
     total_fetched = sum(len(call) for call in provider.calls)
     assert total_fetched == 1
@@ -247,51 +252,58 @@ def embed_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/embed", handler
     server.shutdown()
+    server.server_close()
 
 
-def test_http_provider_happy_path(embed_server, tmp_path):
+@pytest.fixture
+def cache(tmp_path):
+    with VectorCache(tmp_path / "c.bin") as opened:
+        yield opened
+
+
+def test_http_provider_happy_path(embed_server, cache):
     endpoint, _ = embed_server
     cfg = EmbeddingProviderConfig(kind="http", endpoint=endpoint, expected_dims=5, batch_size=2)
-    embedder = Embedder(cfg, VectorCache(tmp_path / "c.bin"))
+    embedder = Embedder(cfg, cache)
     matrix = embedder.embed_batch(["ab", "abcd", "a"])
     np.testing.assert_array_equal(matrix[:, 0], [2.0, 4.0, 1.0])
 
 
-def test_http_provider_retries_then_succeeds(embed_server, tmp_path):
+def test_http_provider_retries_then_succeeds(embed_server, cache):
     endpoint, handler = embed_server
     handler.fail_first = 2
     cfg = EmbeddingProviderConfig(
         kind="http", endpoint=endpoint, expected_dims=5, max_attempts=3, backoff_base=0.01
     )
-    embedder = Embedder(cfg, VectorCache(tmp_path / "c.bin"))
+    embedder = Embedder(cfg, cache)
     assert embedder.embed_batch(["hello"]).shape == (1, 5)
 
 
-def test_http_provider_gives_up(embed_server, tmp_path):
+def test_http_provider_gives_up(embed_server, cache):
     endpoint, handler = embed_server
     handler.fail_first = 99
     cfg = EmbeddingProviderConfig(
         kind="http", endpoint=endpoint, expected_dims=5, max_attempts=2, backoff_base=0.01
     )
-    embedder = Embedder(cfg, VectorCache(tmp_path / "c.bin"))
+    embedder = Embedder(cfg, cache)
     with pytest.raises(ProviderError):
         embedder.embed_batch(["hello"])
 
 
-def test_http_provider_auth_failure_is_fatal(embed_server, tmp_path, monkeypatch):
+def test_http_provider_auth_failure_is_fatal(embed_server, cache, monkeypatch):
     endpoint, handler = embed_server
     handler.auth_required = True
     cfg = EmbeddingProviderConfig(kind="http", endpoint=endpoint, expected_dims=5)
-    embedder = Embedder(cfg, VectorCache(tmp_path / "c.bin"))
+    embedder = Embedder(cfg, cache)
     with pytest.raises(AuthenticationError):
         embedder.embed_batch(["hello"])
     monkeypatch.setenv(cfg.token_env, "sesame")
     assert embedder.embed_batch(["hello"]).shape == (1, 5)
 
 
-def test_dimension_mismatch_detected(embed_server, tmp_path):
+def test_dimension_mismatch_detected(embed_server, cache):
     endpoint, _ = embed_server  # serves 5 dims
     cfg = EmbeddingProviderConfig(kind="http", endpoint=endpoint, expected_dims=768)
-    embedder = Embedder(cfg, VectorCache(tmp_path / "c.bin"))
+    embedder = Embedder(cfg, cache)
     with pytest.raises(DimensionMismatchError):
         embedder.embed_batch(["hello"])

@@ -108,6 +108,7 @@ def test_http_embedding_provider_through_cli(tmp_path):
         assert 0.0 <= abs(report.xsc) <= 1.0
     finally:
         embed_server.shutdown()
+        embed_server.server_close()
 
 
 def test_star_import():
