@@ -25,6 +25,8 @@ ANSWERS_SCHEMA = "xlconsist-answers/1"
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
 
+_decode = json.JSONDecoder().raw_decode
+
 
 @dataclass
 class AnswerSet:
@@ -106,13 +108,22 @@ def append_answer_record(
 
 
 def load_answers(path: str | Path) -> AnswerSet:
+    """Replay a store: the header, then every record, the last per cell winning.
+
+    Lines end at "\\n" only, so an answer holding U+2028 or another
+    `str.splitlines` boundary stays one record. A line that is exactly one
+    JSON object is decoded in place by one bound decoder; any other line is
+    skipped when blank, dropped when it is a torn final line, and otherwise
+    raises DatasetFormatError with its line number.
+    """
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
+        text = handle.read()
+    if not text:
         raise DatasetFormatError("empty answers file", line=1)
+    body = text.find("\n") + 1 or len(text)
     try:
-        header = json.loads(lines[0])
+        header = json.loads(text[:body])
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid header: {exc.msg}", line=1) from exc
     if header.get("schema") != ANSWERS_SCHEMA:
@@ -126,22 +137,42 @@ def load_answers(path: str | Path) -> AnswerSet:
         seed=int(header.get("seed", 0)),
         dataset_hash=header.get("dataset_hash"),
     )
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    answers, raw, statuses = answer_set.answers, answer_set.raw, answer_set.statuses
+    size = len(text)
+    pos, line_no = body, 2
+    while pos < size:
+        end = text.find("\n", pos)
+        if end < 0:
+            end = size
         try:
-            record = json.loads(line)
+            record, stop = _decode(text, pos)
         except json.JSONDecodeError:
-            if line_no == len(lines):
-                break  # torn final line from an interrupted run
-            raise DatasetFormatError("invalid answer record", line=line_no)
-        answer_set.set_answer(
-            record["lang"],
-            record["item"],
-            record.get("raw", record["text"]),
-            record["text"],
-            record.get("status", STATUS_OK),
-        )
-        if "attempts" in record:
-            answer_set.attempts[(record["lang"], record["item"])] = record["attempts"]
+            record, stop = None, -1
+        if stop != end or type(record) is not dict:
+            record = _odd_line(text[pos:end], line_no, last=end + 1 >= size)
+        if record is not None:
+            key = (record["lang"], record["item"])
+            answer = record["text"]
+            answers[key] = unicodedata.normalize("NFC", answer)
+            raw[key] = record.get("raw", answer)
+            statuses[key] = record.get("status", STATUS_OK)
+            if "attempts" in record:
+                answer_set.attempts[key] = record["attempts"]
+        pos, line_no = end + 1, line_no + 1
     return answer_set
+
+
+def _odd_line(line: str, line_no: int, last: bool) -> dict | None:
+    """The record of a line that is not exactly one JSON object: None when
+    the line is blank or a torn final line, else DatasetFormatError."""
+    if not line.strip():
+        return None
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError:
+        if last:
+            return None  # torn final line from an interrupted run
+        raise DatasetFormatError("invalid answer record", line=line_no)
+    if not isinstance(record, dict):
+        raise DatasetFormatError("answer record is not a JSON object", line=line_no)
+    return record

@@ -32,7 +32,15 @@ import numpy as np
 from .answers import AnswerSet
 from .dataset import Dataset
 from .errors import LanguageMismatchError
-from .textmetrics import ChrfConfig, DEFAULT_CHRF, chrf_batch, pearson, spearman, spearman_detailed
+from .textmetrics import (
+    ChrfConfig,
+    DEFAULT_CHRF,
+    chrf_batch,
+    pearson,
+    rank_correlation,
+    rank_deviations,
+    spearman,
+)
 
 log = logging.getLogger(__name__)
 
@@ -281,11 +289,13 @@ def _accuracy_vectors(dataset: Dataset, scores) -> dict[str, np.ndarray]:
 
 
 def _rank_correlation_matrix(languages, vectors) -> PairMatrix:
+    """Spearman of every language pair; each language's vector is ranked once."""
     size = len(languages)
     values = np.full((size, size), np.nan)
     degenerate = np.zeros((size, size), dtype=bool)
+    ranked = [rank_deviations(vectors[lang]) for lang in languages]
     for i, j in PairMatrix.index_pairs(languages):
-        result = spearman_detailed(vectors[languages[i]], vectors[languages[j]])
+        result = rank_correlation(ranked[i], ranked[j])
         values[i, j] = values[j, i] = result.value
         degenerate[i, j] = degenerate[j, i] = result.degenerate
     return PairMatrix(languages, values, degenerate)

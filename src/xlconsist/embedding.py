@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import mmap
 import struct
 import threading
 import time
@@ -46,7 +47,11 @@ _KEY_BYTES = 32
 
 def cache_key(text: str) -> str:
     """Stable hex digest of the NFC-normalized UTF-8 bytes of `text`."""
-    normalized = unicodedata.normalize("NFC", text)
+    return _digest(unicodedata.normalize("NFC", text))
+
+
+def _digest(normalized: str) -> str:
+    """cache_key of text that is already NFC."""
     return hashlib.sha256(normalized.encode("utf-8")).hexdigest()
 
 
@@ -57,7 +62,6 @@ class VectorCache:
         self.path = Path(path)
         self._lock = threading.RLock()
         self._offsets: dict[bytes, int] = {}  # key -> offset of the record tag
-        self._memo: dict[bytes, np.ndarray] = {}
         self._closed = False
         if self.path.exists() and self.path.stat().st_size > 0:
             self._load_existing()
@@ -140,21 +144,39 @@ class VectorCache:
         return {key.hex() for key in self._offsets}
 
     def get(self, key: str) -> np.ndarray | None:
-        raw = bytes.fromhex(key)
-        vector = self._memo.get(raw)
-        if vector is not None:
-            return vector
-        offset = self._offsets.get(raw)
+        offset = self._offsets.get(bytes.fromhex(key))
         if offset is None:
             return None
         with self._lock:
             self._read.seek(offset + 1 + _KEY_BYTES)
             (dims,) = struct.unpack("<I", self._read.read(4))
             payload = self._read.read(dims * 4)
-        vector = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        vector.flags.writeable = False
-        self._memo[raw] = vector
-        return vector
+        return np.frombuffer(payload, dtype="<f4").astype(np.float64)
+
+    def gather(self, keys: list[str], dims: int) -> np.ndarray:
+        """The vectors stored under `keys`, one row each, shape (len(keys), dims).
+
+        One pass over a read-only map of the file reads only the needed
+        records. An absent key raises CacheMissError; a record of another
+        size raises DimensionMismatchError naming its key and both sizes.
+        """
+        offsets = [self._offsets.get(bytes.fromhex(key)) for key in keys]
+        missing = [key for key, offset in zip(keys, offsets) if offset is None]
+        if missing:
+            raise CacheMissError(missing)
+        width = 4 * dims
+        payloads = []
+        with self._lock, mmap.mmap(self._read.fileno(), 0, access=mmap.ACCESS_READ) as view:
+            for key, offset in zip(keys, offsets):
+                start = offset + 1 + _KEY_BYTES
+                (stored,) = struct.unpack_from("<I", view, start)
+                if stored != dims:
+                    raise DimensionMismatchError(
+                        f"cached vector {key} has {stored} dims, expected {dims}"
+                    )
+                payloads.append(view[start + 4 : start + 4 + width])
+        rows = np.frombuffer(b"".join(payloads), dtype="<f4").astype(np.float64)
+        return rows.reshape(len(keys), dims)
 
     def put(self, key: str, vector) -> None:
         raw = bytes.fromhex(key)
@@ -166,9 +188,6 @@ class VectorCache:
             self._append.write(b"R" + raw + struct.pack("<I", len(values)) + values.tobytes())
             self._append.flush()
             self._offsets[raw] = offset
-            frozen = values.astype(np.float64)
-            frozen.flags.writeable = False
-            self._memo[raw] = frozen
 
     def close(self) -> None:
         with self._lock:
@@ -311,8 +330,21 @@ class _DictCache:
     def __init__(self):
         self._data: dict[str, np.ndarray] = {}
 
-    def get(self, key):
-        return self._data.get(key)
+    def __contains__(self, key):
+        return key in self._data
+
+    def gather(self, keys, dims):
+        """Same contract as VectorCache.gather."""
+        rows = [self._data.get(key) for key in keys]
+        missing = [key for key, row in zip(keys, rows) if row is None]
+        if missing:
+            raise CacheMissError(missing)
+        for key, row in zip(keys, rows):
+            if len(row) != dims:
+                raise DimensionMismatchError(
+                    f"cached vector {key} has {len(row)} dims, expected {dims}"
+                )
+        return np.array(rows, dtype=np.float64).reshape(len(keys), dims)
 
     def put(self, key, vector):
         self._data.setdefault(key, np.asarray(vector, dtype=np.float64))
@@ -348,16 +380,14 @@ class Embedder:
         if not texts:
             return np.zeros((0, self.config.expected_dims))
         normalized = [unicodedata.normalize("NFC", t) for t in texts]
-        keys = [cache_key(t) for t in normalized]
+        keys = [_digest(t) for t in normalized]
 
         own: dict[str, str] = {}  # key -> text this call must fetch
         waits: dict[str, Future] = {}
         own_futures: dict[str, Future] = {}
         with self._lock:
             for key, text in zip(keys, normalized):
-                if key in own or key in waits:
-                    continue
-                if self.cache.get(key) is not None:
+                if key in own or key in waits or key in self.cache:
                     continue
                 pending = self._inflight.get(key)
                 if pending is not None:
@@ -401,10 +431,4 @@ class Embedder:
         for future in waits.values():
             future.result()  # propagate the fetching thread's failure, if any
 
-        rows = []
-        for key in keys:
-            vector = self.cache.get(key)
-            if vector is None:
-                raise CacheMissError([key])
-            rows.append(np.asarray(vector, dtype=np.float64))
-        return np.vstack(rows)
+        return self.cache.gather(keys, self.config.expected_dims)

@@ -22,7 +22,7 @@ class AlignmentError(XlconsistError):
 
 
 class DimensionMismatchError(XlconsistError):
-    """An embedding provider returned vectors of an unexpected dimension."""
+    """An embedding vector, fetched or cached, has an unexpected dimension."""
 
 
 class CacheMissError(XlconsistError):

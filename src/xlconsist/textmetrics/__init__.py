@@ -1,7 +1,16 @@
 """Pure-math primitives: chrF score, Spearman correlation, cosine similarity."""
 
 from .chrf import DEFAULT_CHRF, ChrfConfig, backend_name, chrf, chrf_batch
-from .stats import SpearmanResult, average_ranks, cosine, pearson, spearman, spearman_detailed
+from .stats import (
+    SpearmanResult,
+    average_ranks,
+    cosine,
+    pearson,
+    rank_correlation,
+    rank_deviations,
+    spearman,
+    spearman_detailed,
+)
 
 __all__ = [
     "ChrfConfig",
@@ -12,6 +21,8 @@ __all__ = [
     "average_ranks",
     "cosine",
     "pearson",
+    "rank_correlation",
+    "rank_deviations",
     "spearman",
     "spearman_detailed",
     "SpearmanResult",

@@ -19,14 +19,11 @@ chunks of at most CHUNK_CHARS characters to bound memory.
 from __future__ import annotations
 
 import math
-import re
 import unicodedata
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-_WHITESPACE = re.compile(r"\s+")
 
 # upper bound on the characters (hypothesis plus reference, summed over
 # pairs) that one chunk of a batch holds; a longer single pair runs alone
@@ -86,11 +83,10 @@ def chrf_batch(
             text = unicodedata.normalize("NFC", text)
             if cfg.case_fold:
                 text = text.casefold()
-            chars.append(
-                _WHITESPACE.sub("", text) if cfg.strip_whitespace_for_char_ngrams else text
-            )
+            split = text.split()
+            chars.append("".join(split) if cfg.strip_whitespace_for_char_ngrams else text)
             if cfg.word_ngram_max > 0:
-                words.append([tokens.setdefault(token, len(tokens)) for token in text.split()])
+                words.append([tokens.setdefault(token, len(tokens)) for token in split])
         return index
 
     hyp = [prepare(text) for text in hypotheses]

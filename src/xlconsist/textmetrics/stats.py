@@ -71,10 +71,21 @@ def spearman_detailed(x: Sequence[float], y: Sequence[float]) -> SpearmanResult:
         raise ValueError(f"length mismatch: {xa.shape} vs {ya.shape}")
     if len(xa) < 2:
         raise ValueError("need at least 2 observations")
-    rx = average_ranks(xa)
-    ry = average_ranks(ya)
-    dx, var_x = _centered(rx)
-    dy, var_y = _centered(ry)
+    return rank_correlation(rank_deviations(xa), rank_deviations(ya))
+
+
+def rank_deviations(values: Sequence[float]) -> tuple[np.ndarray, float]:
+    """Average-tie ranks of `values` minus their mean, and the fsum of
+    their squares: the per-vector half of a Spearman correlation, so a
+    vector compared with many others is ranked once."""
+    return _centered(average_ranks(values))
+
+
+def rank_correlation(
+    x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]
+) -> SpearmanResult:
+    """Spearman correlation of two equal-length `rank_deviations` results."""
+    (dx, var_x), (dy, var_y) = x, y
     if var_x == 0.0 or var_y == 0.0:
         return SpearmanResult(0.0, True)
     cov = math.fsum((dx * dy).tolist())

@@ -1,0 +1,138 @@
+"""The answers store loader against a reference per-line loop."""
+
+import json
+
+import pytest
+
+from xlconsist.answers import AnswerSet, load_answers, write_answer_header
+from xlconsist.errors import DatasetFormatError
+
+
+def record(lang, item, text, **extra):
+    fields = {"lang": lang, "item": item, "raw": text, "text": text, "status": "ok",
+              "attempts": 1}
+    fields.update(extra)
+    return json.dumps(fields, ensure_ascii=False, sort_keys=True)
+
+
+def header():
+    return json.dumps({"schema": "xlconsist-answers/1", "run_id": "r", "model_id": "m",
+                       "seed": 3, "dataset_hash": "abc"})
+
+
+CLEAN = [
+    record("en", "q1", "Paris"),
+    record("de", "q1", "Paris"),
+    record("en", "q2", "Cafe\u0301", raw=" Cafe\u0301\n"),  # NFD, NFC on load
+    record("en", "q1", "Lyon", status="failed", attempts=3),  # last record wins
+    record("ja", "q2", "東京"),
+]
+
+# (name, body after the header line)
+STORES = [
+    ("clean", "\n".join(CLEAN) + "\n"),
+    ("blank lines", "\n" + CLEAN[0] + "\n\n\n" + "\n".join(CLEAN[1:]) + "\n\n"),
+    ("crlf", "\r\n".join(CLEAN) + "\r\n"),
+    ("no trailing newline", "\n".join(CLEAN)),
+    ("whitespace-only line", CLEAN[0] + "\n   \n" + CLEAN[1] + "\n"),
+    ("padded record", " " + CLEAN[0] + "\t\n" + CLEAN[1] + "\n"),
+    ("torn final line", "\n".join(CLEAN) + '\n{"lang": "en", "item": "q3", "te'),
+    ("torn final line, then newline", "\n".join(CLEAN) + '\n{"lang": "en", "ite\n'),
+    ("torn line, then a blank line", "\n".join(CLEAN) + '\n{"lang": "en", "ite\n\n'),
+    ("bad interior line", CLEAN[0] + '\n{"lang": "en", "raw"\n' + CLEAN[1] + "\n"),
+    ("two records on one line", CLEAN[0] + "\n" + CLEAN[1] + CLEAN[2] + "\n" + CLEAN[3]),
+    ("two records, comma", CLEAN[0] + "," + CLEAN[1] + "\n"),
+    ("record split over two lines", CLEAN[0] + "\n" + CLEAN[1].replace(", ", ",\n", 1)
+     + "\n" + CLEAN[2] + "\n"),
+    ("valid JSON, not an object", CLEAN[0] + "\n[1, 2]\n" + CLEAN[1] + "\n"),
+    ("string, not an object", CLEAN[0] + '\n"text"\n' + CLEAN[1] + "\n"),
+    # three lines that "[" + ",".join(lines) + "]" would decode as three objects
+    ("joined-array trap", '{"a":"x}\n{"}\n{"c":1},{"d":2}\n'),
+]
+
+
+def per_line_load(path):
+    """Reference loader: json.loads on each "\\n"-separated line, one
+    set_answer per record."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the text ended with a line break
+    head = json.loads(lines[0])
+    loaded = AnswerSet(run_id=head["run_id"], model_id=head["model_id"],
+                       seed=head["seed"], dataset_hash=head["dataset_hash"])
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError:
+            if line_no == len(lines):
+                break  # torn final line
+            raise DatasetFormatError("invalid answer record", line=line_no)
+        if not isinstance(rec, dict):
+            raise DatasetFormatError("answer record is not a JSON object", line=line_no)
+        loaded.set_answer(rec["lang"], rec["item"], rec.get("raw", rec["text"]), rec["text"],
+                          rec.get("status", "ok"))
+        if "attempts" in rec:
+            loaded.attempts[(rec["lang"], rec["item"])] = rec["attempts"]
+    return loaded
+
+
+def outcome(load, path):
+    """The AnswerSet with its dicts' insertion order, or the error raised."""
+    try:
+        loaded = load(path)
+    except Exception as exc:  # compared by type and message
+        return ("error", type(exc).__name__, str(exc), getattr(exc, "line", None))
+    return ("ok", loaded, [list(d.items()) for d in
+                           (loaded.answers, loaded.raw, loaded.statuses, loaded.attempts)])
+
+
+@pytest.mark.parametrize("name, body", STORES, ids=[s[0] for s in STORES])
+def test_loader_matches_per_line_loop(tmp_path, name, body):
+    path = tmp_path / "a.jsonl"
+    path.write_bytes((header() + "\n" + body).encode("utf-8"))
+    assert outcome(load_answers, path) == outcome(per_line_load, path)
+
+
+def test_loader_reads_the_expected_cells(tmp_path):
+    path = tmp_path / "a.jsonl"
+    path.write_text(header() + "\n" + "\n".join(CLEAN) + "\n", encoding="utf-8")
+    loaded = load_answers(path)
+    assert (loaded.run_id, loaded.model_id, loaded.seed, loaded.dataset_hash) == (
+        "r", "m", 3, "abc")
+    assert loaded.answers == {("en", "q1"): "Lyon", ("de", "q1"): "Paris",
+                              ("en", "q2"): "Caf\u00e9", ("ja", "q2"): "東京"}
+    assert loaded.raw[("en", "q2")] == " Cafe\u0301\n"
+    assert loaded.statuses[("en", "q1")] == "failed"
+    assert loaded.attempts[("en", "q1")] == 3
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        (CLEAN[0] + '\n{"lang": "en", "raw"\n' + CLEAN[1] + "\n", 3, "invalid answer record"),
+        (CLEAN[0] + "\n" + CLEAN[1] + CLEAN[2] + "\n" + CLEAN[3], 3, "invalid answer record"),
+        (CLEAN[0] + "\n[1, 2]\n" + CLEAN[1] + "\n", 3, "not a JSON object"),
+        ('{"a":"x}\n{"}\n{"c":1},{"d":2}\n', 2, "invalid answer record"),
+    ],
+    ids=["torn interior", "two records", "not an object", "joined-array trap"],
+)
+def test_bad_interior_line_names_its_line(tmp_path, body, line, message):
+    path = tmp_path / "a.jsonl"
+    path.write_text(header() + "\n" + body, encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=message) as excinfo:
+        load_answers(path)
+    assert excinfo.value.line == line
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+def test_answer_with_a_unicode_line_separator_is_one_record(tmp_path, separator):
+    # json.dumps(ensure_ascii=False) writes these raw; only "\n" ends a record
+    path = tmp_path / "a.jsonl"
+    write_answer_header(path, AnswerSet(run_id="r", model_id="m"))
+    text = f"first{separator}second"
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(record("en", "q1", text) + "\n" + record("en", "q2", "x") + "\n")
+    loaded = load_answers(path)
+    assert loaded.answers == {("en", "q1"): text, ("en", "q2"): "x"}

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from xlconsist import consistency
 from xlconsist.answers import AnswerSet, ground_truth_answers
@@ -29,6 +31,7 @@ from xlconsist.dataset import Dataset, QAItem, TimelinessItem
 from xlconsist.embedding import Embedder, EmbeddingProviderConfig
 from xlconsist.errors import LanguageMismatchError, MissingAnswersError
 from xlconsist.fixtures import mini_fixture, mini_fixture_answers, synthetic_corpus
+from xlconsist.textmetrics import spearman_detailed
 
 from oracles import pearson_textbook, spearman_d2
 
@@ -234,6 +237,39 @@ def test_xac_degenerate_pair_counted():
     result = xac(answers, d)
     assert result.score == 0.0
     assert result.degenerate_pairs == 1
+
+
+RANK_VECTORS = {
+    "ties": [[0.5, 0.5, 0.1, 0.9, 0.1], [0.2, 0.2, 0.2, 0.7, 0.3], [1.0, 0.0, 1.0, 0.0, 0.5]],
+    "constant": [[0.3] * 5, [0.0, 1.0, 0.0, 1.0, 1.0], [0.0] * 5, [0.1, 0.2, 0.3, 0.4, 0.5]],
+    "nan": [[math.nan, 0.5, math.nan, 0.2, 0.2], [0.1, math.nan, 0.3, 0.3, 0.0],
+            [math.nan] * 5, [0.0, -0.0, 0.0, 1.0, math.inf]],
+    "two items": [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]],
+}
+
+
+@pytest.mark.parametrize("rows", list(RANK_VECTORS.values()), ids=list(RANK_VECTORS))
+def test_rank_matrix_matches_per_pair_spearman(rows):
+    check_rank_matrix(rows)
+
+
+@given(st.lists(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, math.nan]), min_size=6,
+                         max_size=6), min_size=2, max_size=6))
+def test_rank_matrix_matches_per_pair_spearman_on_random_vectors(rows):
+    check_rank_matrix(rows)
+
+
+def check_rank_matrix(rows):
+    """Each language ranked once gives the per-pair spearman_detailed cells
+    bit for bit, degenerate flags included."""
+    languages = tuple(f"l{i}" for i in range(len(rows)))
+    vectors = {lang: np.array(row) for lang, row in zip(languages, rows)}
+    matrix = consistency._rank_correlation_matrix(languages, vectors)
+    for i, j in PairMatrix.index_pairs(languages):
+        for a, b in ((i, j), (j, i)):
+            expected = spearman_detailed(vectors[languages[a]], vectors[languages[b]])
+            assert matrix.values[a, b].tobytes() == np.float64(expected.value).tobytes()
+            assert bool(matrix.degenerate[a, b]) == expected.degenerate
 
 
 # -- timeliness ---------------------------------------------------------------

@@ -101,6 +101,48 @@ def test_cache_rejects_foreign_file(tmp_path):
         VectorCache(path)
 
 
+def test_gather_equals_get_across_reopen(tmp_path):
+    path = tmp_path / "vectors.bin"
+    rng = np.random.default_rng(3)
+    older = {cache_key(f"old {i}"): rng.normal(size=9) for i in range(40)}
+    newer = {cache_key(f"new {i}"): rng.normal(size=9) for i in range(40)}
+    with VectorCache(path) as cache:
+        for key, vector in older.items():
+            cache.put(key, vector)
+    with VectorCache(path) as cache:
+        for key, vector in newer.items():
+            cache.put(key, vector)  # appended after the first session's index
+        keys = list(newer)[::-3] + list(older) + list(older)[:5]
+        rows = cache.gather(keys, 9)
+        assert rows.shape == (len(keys), 9) and rows.dtype == np.float64
+        for key, row in zip(keys, rows):
+            assert row.tobytes() == cache.get(key).tobytes()
+        assert cache.gather([], 9).shape == (0, 9)
+        with pytest.raises(CacheMissError) as excinfo:
+            cache.gather([keys[0], cache_key("absent"), keys[1]], 9)
+    assert excinfo.value.missing_keys == [cache_key("absent")]
+
+
+@pytest.mark.parametrize("on_disk", [True, False])
+def test_cached_vector_of_another_size_is_refused(tmp_path, on_disk):
+    # vectors cached by a 48-dim encoder, read by a 64-dim configuration
+    cache = VectorCache(tmp_path / "c.bin") if on_disk else Embedder(
+        EmbeddingProviderConfig()).cache
+    cache.put(cache_key("short"), np.ones(48))
+    cache.put(cache_key("right"), np.ones(64))
+    embedder = Embedder(EmbeddingProviderConfig(kind="cache-only", expected_dims=64), cache)
+    try:
+        assert embedder.embed_batch(["right"]).shape == (1, 64)
+        for batch in (["short"], ["right", "short"]):
+            with pytest.raises(DimensionMismatchError) as excinfo:
+                embedder.embed_batch(batch)
+            message = str(excinfo.value)
+            assert cache_key("short") in message and "48" in message and "64" in message
+    finally:
+        if on_disk:
+            cache.close()
+
+
 # -- providers ----------------------------------------------------------------
 
 def test_mock_provider_deterministic():

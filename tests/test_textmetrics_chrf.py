@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 import unicodedata
 
 import pytest
@@ -67,6 +68,24 @@ def test_whitespace_stripping_default():
     assert spaced > 0.6
     no_words = ChrfConfig(word_ngram_max=0)
     assert chrf("Buenos Aires", "BuenosAires", no_words) == 1.0
+
+
+def _regex_strip(text):
+    return re.sub(r"\s+", "", text)
+
+
+def test_split_join_strips_what_the_whitespace_regex_strips():
+    # chrf_batch strips with "".join(text.split()); the oracle with \s+
+    points = [chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+    every = "x".join(points)  # each code point alone between two letters
+    if "".join(every.split()) != _regex_strip(every):
+        differ = [c for c in points if "".join(c.split()) != _regex_strip(c)]
+        pytest.fail(f"str.split and \\s disagree on {[hex(ord(c)) for c in differ][:20]}")
+
+
+@given(st.text())
+def test_split_join_strip_on_random_text(text):
+    assert "".join(text.split()) == _regex_strip(text)
 
 
 def test_whitespace_kept_when_disabled():
