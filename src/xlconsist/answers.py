@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import unicodedata
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 from .dataset import Dataset
@@ -49,15 +50,22 @@ class AnswerSet:
     def answer(self, lang: str, item_id: str) -> str:
         return self.answers[(lang, item_id)]
 
-    def check_coverage(self, languages, item_ids) -> None:
-        missing = [
-            (lang, item_id)
-            for lang in languages
-            for item_id in item_ids
-            if (lang, item_id) not in self.answers
-        ]
-        if missing:
-            raise MissingAnswersError(missing)
+    def columns(self, languages, item_ids) -> list[list[str]]:
+        """Each language's answers to item_ids, in order, one lookup per cell.
+        A missing cell raises MissingAnswersError naming every missing cell,
+        language by language."""
+        lookup = self.answers.get
+        columns = [list(map(lookup, zip(repeat(lang), item_ids))) for lang in languages]
+        if any(None in column for column in columns):
+            raise MissingAnswersError(
+                [
+                    (lang, item_id)
+                    for lang, column in zip(languages, columns)
+                    for item_id, text in zip(item_ids, column)
+                    if text is None
+                ]
+            )
+        return columns
 
 
 def ground_truth_answers(dataset: Dataset, run_id: str = "ground-truth") -> AnswerSet:

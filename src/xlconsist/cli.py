@@ -302,7 +302,8 @@ def score(config_path, dataset_path, answers_path, ground_truth, out_dir, cache_
             include_timeliness=bool(
                 _pick(include_timeliness, config, "modes", "include_timeliness", default=False)
             ),
-            provenance={
+            # called while the chrF workers run, so the hash is off the serial path
+            provenance=lambda: {
                 "dataset_hash": dataset_hash(dataset),
                 "toolkit_version": __version__,
                 "seed": seed,

@@ -20,12 +20,15 @@ runs, so the report does not depend on the worker count.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import logging
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -83,22 +86,12 @@ class PairMatrix:
             for b in range(a + 1, len(indexed))
         ]
 
-    def unordered_pairs(self):
-        """(code_i, code_j, value, degenerate) per pair, sorted by codes."""
-        for i, j in self.index_pairs(self.languages):
-            yield (
-                self.languages[i],
-                self.languages[j],
-                float(self.values[i, j]),
-                bool(self.degenerate[i, j]),
-            )
-
     def mean_offdiagonal(self) -> float:
-        cells = [value for _, _, value, _ in self.unordered_pairs()]
+        cells = [float(self.values[i, j]) for i, j in self.index_pairs(self.languages)]
         return math.fsum(cells) / len(cells)
 
     def degenerate_count(self) -> int:
-        return sum(1 for _, _, _, flag in self.unordered_pairs() if flag)
+        return sum(1 for i, j in self.index_pairs(self.languages) if self.degenerate[i, j])
 
     def row_means(self) -> dict[str, float]:
         """Per-language mean over that language's off-diagonal cells."""
@@ -169,17 +162,31 @@ class PairMatrix:
 
 
 def _select_items(dataset: Dataset, domains=None, include_timeliness=False):
-    items = list(dataset.qa_items)
+    """(QA items, timeliness items) that xSC and xAC score: the QA items of
+    `domains` (all when None), then the timeliness items when included."""
+    qa = dataset.qa_items
     if domains is not None:
         wanted = set(domains)
-        items = [item for item in items if item.domain in wanted]
-    entries = [(item.id, {lang: item.answers[lang] for lang in dataset.languages}) for item in items]
-    if include_timeliness:
-        entries.extend(
-            (item.id, {lang: item.candidates[lang][0] for lang in dataset.languages})
-            for item in dataset.timeliness_items
-        )
-    return entries
+        qa = tuple(item for item in qa if item.domain in wanted)
+    return qa, dataset.timeliness_items if include_timeliness else ()
+
+
+def _item_ids(*groups) -> list[str]:
+    return [item.id for group in groups for item in group]
+
+
+class _LookedUp:
+    """Answers that `build_report` has looked up already, read by `xsc`
+    through the same `columns` method as an AnswerSet."""
+
+    def __init__(self, languages, item_ids, columns):
+        self._key = (tuple(languages), item_ids)
+        self._columns = columns
+
+    def columns(self, languages, item_ids) -> list[list[str]]:
+        if (tuple(languages), item_ids) != self._key:
+            raise ValueError("these answers were looked up for other items")
+        return self._columns
 
 
 @dataclass
@@ -203,30 +210,34 @@ def xsc(
     domains=None,
     include_timeliness: bool = False,
 ) -> MetricResult:
-    """Cross-lingual semantic consistency: mean pairwise answer cosine."""
+    """Cross-lingual semantic consistency: mean pairwise answer cosine.
+
+    `answers` is read through its `columns` method only."""
     languages = dataset.languages
     if len(languages) < 2:
         raise ValueError("xsc needs at least 2 languages")
-    entries = _select_items(dataset, domains, include_timeliness)
-    if not entries:
+    item_ids = _item_ids(*_select_items(dataset, domains, include_timeliness))
+    if not item_ids:
         raise ValueError("no items selected for xsc")
-    item_ids = [item_id for item_id, _ in entries]
-    answers.check_coverage(languages, item_ids)
+    columns = answers.columns(languages, item_ids)
 
-    # each distinct answer is embedded once; rows[i, k] is the row of
-    # language i's answer to item k
-    distinct: dict[str, int] = {}
-    rows = np.empty((len(languages), len(item_ids)), dtype=np.intp)
-    for i, lang in enumerate(languages):
-        rows[i] = [distinct.setdefault(answers.answer(lang, k), len(distinct)) for k in item_ids]
+    # each distinct answer is embedded once, in first-seen order; rows[i, k]
+    # is the row of language i's answer to item k
+    row_of = {text: row for row, text in enumerate(dict.fromkeys(chain.from_iterable(columns)))}
+    rows = np.array([list(map(row_of.__getitem__, column)) for column in columns], dtype=np.intp)
     # embed_batch returns a fresh array, so its rows are normalized in place
-    unit = np.asarray(embedder.embed_batch(list(distinct)), dtype=np.float64)
+    unit = np.asarray(embedder.embed_batch(list(row_of)), dtype=np.float64)
     norms = np.sqrt((unit * unit).sum(axis=1))
     unit /= np.where(norms > 0, norms, 1.0)[:, None]
     pairs = PairMatrix.index_pairs(languages)
     cosines = np.empty((len(pairs), len(item_ids)))
-    for row, (i, j) in enumerate(pairs):
-        cosines[row] = (unit[rows[i]] * unit[rows[j]]).sum(axis=1)
+    # a block of items at a time, so that every language's vectors for the
+    # block (about 1 MiB) stay in cache while all pairs read them
+    block = max(1, (1 << 20) // (len(languages) * unit.shape[1] * unit.itemsize))
+    for start in range(0, len(item_ids), block):
+        vectors = unit[rows[:, start : start + block]]
+        for row, (i, j) in enumerate(pairs):
+            cosines[row, start : start + block] = (vectors[i] * vectors[j]).sum(axis=1)
     matrix = _cosine_matrix(languages, cosines, np.ones(len(item_ids), dtype=bool))
     return MetricResult(matrix.mean_offdiagonal(), matrix, cosines)
 
@@ -242,33 +253,52 @@ def _cosine_matrix(languages, cosines: np.ndarray, items: np.ndarray) -> PairMat
 
 
 def _chrf_job(job, cfg: ChrfConfig) -> list[float]:
-    """chrF of one job's (hypotheses, references) pairs; module-level so a
-    worker process can unpickle it."""
+    """chrF of one job's (hypotheses, references) pairs."""
     hypotheses, references = job
     return chrf_batch(hypotheses, references, cfg)
 
 
-def _accuracy_jobs(answers: AnswerSet, dataset: Dataset, domains=None, include_timeliness=False):
-    """One chrF job per language: each answer against its own-language truth."""
-    entries = _select_items(dataset, domains, include_timeliness)
-    answers.check_coverage(dataset.languages, [item_id for item_id, _ in entries])
+# a worker process's jobs and config, set by _start_worker in that process
+_worker_jobs: tuple[list, ChrfConfig] | None = None
+
+
+def _start_worker(jobs, cfg: ChrfConfig) -> None:
+    """Pool initializer. The jobs arrive through fork, so only their
+    indices are pickled. gc.freeze makes the worker's collections skip
+    every object inherited from the parent, instead of writing to (and so
+    copying) their pages."""
+    global _worker_jobs
+    gc.freeze()
+    _worker_jobs = jobs, cfg
+
+
+def _worker_job(index: int) -> list[float]:
+    jobs, cfg = _worker_jobs
+    return _chrf_job(jobs[index], cfg)
+
+
+def _accuracy_jobs(languages, qa, timeliness, columns):
+    """One chrF job per language: each answer (a column over the qa items,
+    then the timeliness items) against its own-language truth; a timeliness
+    item's truth is its newest candidate."""
     return [
         (
-            [answers.answer(lang, item_id) for item_id, _ in entries],
-            [truth[lang] for _, truth in entries],
+            column,
+            [item.answers[lang] for item in qa] + [item.candidates[lang][0] for item in timeliness],
         )
-        for lang in dataset.languages
+        for lang, column in zip(languages, columns)
     ]
 
 
-def _xac_jobs(answers: AnswerSet, dataset: Dataset, domains=None, include_timeliness=False):
+def _xac_columns(answers: AnswerSet, dataset: Dataset, qa, timeliness):
+    """Each language's answers to the items xac scores, checked as xac checks them."""
     if len(dataset.languages) < 2:
         raise ValueError("xac needs at least 2 languages")
-    jobs = _accuracy_jobs(answers, dataset, domains, include_timeliness)
-    length = len(jobs[0][0])
-    if length < 2:
-        raise ValueError(f"xac needs at least 2 items, got {length}")
-    return jobs
+    columns = answers.columns(dataset.languages, _item_ids(qa, timeliness))
+    count = len(qa) + len(timeliness)
+    if count < 2:
+        raise ValueError(f"xac needs at least 2 items, got {count}")
+    return columns
 
 
 def accuracy_vectors(
@@ -280,7 +310,9 @@ def accuracy_vectors(
     include_timeliness: bool = False,
 ) -> dict[str, np.ndarray]:
     """Per-language chrF of each answer against its own-language ground truth."""
-    jobs = _accuracy_jobs(answers, dataset, domains, include_timeliness)
+    qa, timeliness = _select_items(dataset, domains, include_timeliness)
+    columns = answers.columns(dataset.languages, _item_ids(qa, timeliness))
+    jobs = _accuracy_jobs(dataset.languages, qa, timeliness, columns)
     return _accuracy_vectors(dataset, [_chrf_job(job, chrf_cfg) for job in jobs])
 
 
@@ -319,7 +351,9 @@ def xac(
     Degenerate pairs (a constant accuracy vector on either side) score 0
     and stay in the denominator; their count is carried on the matrix.
     """
-    jobs = _xac_jobs(answers, dataset, domains, include_timeliness)
+    qa, timeliness = _select_items(dataset, domains, include_timeliness)
+    columns = _xac_columns(answers, dataset, qa, timeliness)
+    jobs = _accuracy_jobs(dataset.languages, qa, timeliness, columns)
     scores = [_chrf_job(job, chrf_cfg) for job in jobs]
     return _rank_result(dataset.languages, _accuracy_vectors(dataset, scores))
 
@@ -358,28 +392,31 @@ def _recency_weighted(scores: list[float], mode: str, tau: float) -> float:
     return best / rank
 
 
-def _timeliness_jobs(answers: AnswerSet, dataset: Dataset):
-    """One chrF job per language: each answer against every candidate of its item."""
-    items = dataset.timeliness_items
-    answers.check_coverage(dataset.languages, [item.id for item in items])
+def _timeliness_jobs(languages, items, columns):
+    """One chrF job per language: each answer (a column over the timeliness
+    items) against every candidate of its item."""
     jobs = []
-    for lang in dataset.languages:
+    for lang, column in zip(languages, columns):
         hypotheses, references = [], []
-        for item in items:
-            hypotheses += [answers.answer(lang, item.id)] * len(item.candidates[lang])
-            references += item.candidates[lang]
+        for item, answer in zip(items, column):
+            candidates = item.candidates[lang]
+            hypotheses += [answer] * len(candidates)
+            references += candidates
         jobs.append((hypotheses, references))
     return jobs
 
 
-def _xtc_jobs(answers: AnswerSet, dataset: Dataset):
+def _check_xtc(dataset: Dataset) -> None:
     if len(dataset.languages) < 2:
         raise ValueError("xtc needs at least 2 languages")
     if len(dataset.timeliness_items) < 2:
         raise ValueError(
             f"xtc needs at least 2 timeliness items, got {len(dataset.timeliness_items)}"
         )
-    return _timeliness_jobs(answers, dataset)
+
+
+def _timeliness_columns(answers: AnswerSet, dataset: Dataset):
+    return answers.columns(dataset.languages, _item_ids(dataset.timeliness_items))
 
 
 def timeliness_vectors(
@@ -391,7 +428,8 @@ def timeliness_vectors(
 ) -> dict[str, np.ndarray]:
     """Per-language timeliness score of each timeliness item; one chrF
     batch per language over every (answer, candidate) pair."""
-    jobs = _timeliness_jobs(answers, dataset)
+    columns = _timeliness_columns(answers, dataset)
+    jobs = _timeliness_jobs(dataset.languages, dataset.timeliness_items, columns)
     return _timeliness_vectors(dataset, [_chrf_job(job, chrf_cfg) for job in jobs], mode, tau)
 
 
@@ -417,7 +455,9 @@ def xtc(
     tau: float = 0.0,
 ) -> MetricResult:
     """Cross-lingual timeliness consistency over the timeliness subset."""
-    jobs = _xtc_jobs(answers, dataset)
+    _check_xtc(dataset)
+    columns = _timeliness_columns(answers, dataset)
+    jobs = _timeliness_jobs(dataset.languages, dataset.timeliness_items, columns)
     scores = [_chrf_job(job, chrf_cfg) for job in jobs]
     return _rank_result(dataset.languages, _timeliness_vectors(dataset, scores, mode, tau))
 
@@ -437,7 +477,8 @@ def _score_jobs(jobs, cfg: ChrfConfig, meanwhile):
 
     With workers, the jobs run in forked worker processes while meanwhile()
     runs here; fork, not spawn or forkserver, so no worker re-imports
-    __main__ or numpy. A worker's exception is raised here.
+    __main__ or numpy, and the jobs reach the workers without pickling. A
+    worker's exception is raised here.
     """
     workers = _chrf_workers(len(jobs))
     if not workers:
@@ -448,9 +489,12 @@ def _score_jobs(jobs, cfg: ChrfConfig, meanwhile):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(
+        workers, mp_context=context, initializer=_start_worker, initargs=(jobs, cfg)
+    ) as pool:
         try:
-            futures = [pool.submit(_chrf_job, job, cfg) for job in jobs]
+            futures = [pool.submit(_worker_job, index) for index in range(len(jobs))]
             result = meanwhile()
             return [future.result() for future in futures], result
         except BaseException:
@@ -665,20 +709,33 @@ def build_report(
     xtc_mode: str = PROSE,
     tau: float = 0.0,
     include_timeliness: bool = False,
-    provenance: dict | None = None,
+    provenance: dict | Callable[[], dict] | None = None,
 ) -> ConsistencyReport:
     """Full scoring pass: all four metrics, matrices, per-domain table.
 
-    The xAC and xTC chrF jobs run in worker processes while xSC runs here
-    (see `_score_jobs`)."""
+    Each answer is looked up once. The xAC and xTC chrF jobs run in worker
+    processes while xSC runs here (see `_score_jobs`). `provenance` is
+    merged into the report's; when it is a callable, it is called here
+    after xSC, while the workers still run."""
     languages = dataset.languages
-    jobs = _xac_jobs(answers, dataset, include_timeliness=include_timeliness)
-    jobs += _xtc_jobs(answers, dataset)
-    scores, semantic = _score_jobs(
-        jobs,
-        chrf_cfg,
-        lambda: xsc(answers, dataset, embedder, include_timeliness=include_timeliness),
-    )
+    # the items xSC and xAC score; their answers are checked and looked up
+    # first, as xac does, then the timeliness answers unless among them
+    qa, included = _select_items(dataset, include_timeliness=include_timeliness)
+    scored = _xac_columns(answers, dataset, qa, included)
+    _check_xtc(dataset)
+    if include_timeliness:
+        timely = [column[dataset.n_qa :] for column in scored]
+    else:
+        timely = _timeliness_columns(answers, dataset)
+    jobs = _accuracy_jobs(languages, qa, included, scored)
+    jobs += _timeliness_jobs(languages, dataset.timeliness_items, timely)
+    looked_up = _LookedUp(languages, _item_ids(qa, included), scored)
+
+    def meanwhile():
+        semantic = xsc(looked_up, dataset, embedder, include_timeliness=include_timeliness)
+        return semantic, provenance() if callable(provenance) else provenance
+
+    scores, (semantic, extra) = _score_jobs(jobs, chrf_cfg, meanwhile)
     split = len(languages)
     accuracy = _rank_result(languages, _accuracy_vectors(dataset, scores[:split]))
     timeliness = _rank_result(
@@ -707,8 +764,8 @@ def build_report(
         "tau": tau,
         "include_timeliness_in_xsc_xac": include_timeliness,
     }
-    if provenance:
-        meta.update(provenance)
+    if extra:
+        meta.update(extra)
 
     return ConsistencyReport(
         xsc=semantic.score,

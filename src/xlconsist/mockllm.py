@@ -80,14 +80,16 @@ class MockLLMServer:
                         {"choices": [{"message": {"role": "assistant", "content": content}}]},
                         ensure_ascii=False,
                     ).encode("utf-8")
-                    self.send_response(200)
-                    self.send_header("Content-Type", "application/json")
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
                 finally:
+                    # before the response goes out: once a client has it, it
+                    # may send its next request, which must not count this one
                     with server._stats_lock:
                         server._in_flight -= 1
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
 
             def do_GET(self):
                 self.send_response(200)

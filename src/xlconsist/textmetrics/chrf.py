@@ -7,8 +7,10 @@ written without spaces contribute through character n-grams only.
 
 `chrf_batch` scores many pairs in one numpy pass and `chrf` is its
 one-pair case. Each distinct string is prepared once (NFC, optional
-casefold, whitespace strip and split). Code points and word tokens become
-integer symbols, and the n-grams of order n get exact integer ids from
+casefold, whitespace strip and split), and strings with equal prepared
+forms share one index. A pair of equal forms scores 1.0 without the
+n-gram pass (0.0 when the form has no n-gram). For the other pairs, code
+points and word tokens become integer symbols, and the n-grams of order n get exact integer ids from
 `np.unique` over (order n-1 id, next symbol), so no gram is hashed and no
 two grams can share an id. A pair's clipped overlap at each order is the
 sum over the hypothesis's distinct grams of min(hypothesis count,
@@ -48,8 +50,9 @@ class ChrfConfig:
             raise ValueError("char_ngram_max must be >= 1")
         if self.word_ngram_max < 0:
             raise ValueError("word_ngram_max must be >= 0")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
+        # a NaN, infinite or overflowing beta makes every score NaN
+        if not (self.beta > 0 and math.isfinite(self.beta * self.beta)):
+            raise ValueError(f"beta must be finite and > 0, with a finite square; got {self.beta!r}")
 
 
 DEFAULT_CHRF = ChrfConfig()
@@ -72,36 +75,52 @@ def chrf_batch(
     if len(hypotheses) != len(references):
         raise ValueError(f"length mismatch: {len(hypotheses)} vs {len(references)}")
     prepared: dict[str, int] = {}
-    chars: list[str] = []
-    words: list[list[int]] = []
+    # (stripped characters, word token ids) -> index, in first-seen order
+    forms: dict[tuple[str, tuple[int, ...]], int] = {}
     tokens: dict[str, int] = {}
 
-    def prepare(text: str) -> int:
-        index = prepared.get(text)
+    def prepare(raw: str) -> int:
+        index = prepared.get(raw)
         if index is None:
-            index = prepared[text] = len(chars)
-            text = unicodedata.normalize("NFC", text)
+            text = unicodedata.normalize("NFC", raw)
             if cfg.case_fold:
                 text = text.casefold()
             split = text.split()
-            chars.append("".join(split) if cfg.strip_whitespace_for_char_ngrams else text)
-            if cfg.word_ngram_max > 0:
-                words.append([tokens.setdefault(token, len(tokens)) for token in split])
+            form = (
+                "".join(split) if cfg.strip_whitespace_for_char_ngrams else text,
+                tuple(tokens.setdefault(token, len(tokens)) for token in split)
+                if cfg.word_ngram_max > 0
+                else (),
+            )
+            index = prepared[raw] = forms.setdefault(form, len(forms))
         return index
 
     hyp = [prepare(text) for text in hypotheses]
     ref = [prepare(text) for text in references]
-    scores: list[float] = []
+    chars = [form[0] for form in forms]
+    words = [form[1] for form in forms]
+    # equal forms give p = r = 1 at every order that has n-grams, so
+    # f = (1+β²)/(β²+1) = 1.0 exactly, and so is the mean of those ones;
+    # a form without characters has no n-gram at any order and scores 0.0
+    scores = [1.0 if h == r and chars[h] else 0.0 for h, r in zip(hyp, ref)]
+    unequal = [k for k, (h, r) in enumerate(zip(hyp, ref)) if h != r]
     start = budget = 0
-    for k, (h, r) in enumerate(zip(hyp, ref)):
-        cost = len(chars[h]) + len(chars[r])
-        if k > start and budget + cost > CHUNK_CHARS:
-            scores += _score_chunk(hyp[start:k], ref[start:k], chars, words, cfg)
-            start, budget = k, 0
+    for position, k in enumerate(unequal):
+        cost = len(chars[hyp[k]]) + len(chars[ref[k]])
+        if position > start and budget + cost > CHUNK_CHARS:
+            _fill(scores, unequal[start:position], hyp, ref, chars, words, cfg)
+            start, budget = position, 0
         budget += cost
-    if len(hyp) > start:
-        scores += _score_chunk(hyp[start:], ref[start:], chars, words, cfg)
+    _fill(scores, unequal[start:], hyp, ref, chars, words, cfg)
     return scores
+
+
+def _fill(scores, pairs, hyp, ref, chars, words, cfg) -> None:
+    """Score the pairs at the positions in `pairs` in one chunk, in place."""
+    if pairs:
+        chunk = _score_chunk([hyp[k] for k in pairs], [ref[k] for k in pairs], chars, words, cfg)
+        for k, score in zip(pairs, chunk):
+            scores[k] = score
 
 
 def _score_chunk(hyp, ref, chars, words, cfg) -> list[float]:

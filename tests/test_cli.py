@@ -5,7 +5,7 @@ from click.testing import CliRunner
 
 from xlconsist.cli import cli
 from xlconsist.consistency import ConsistencyReport
-from xlconsist.dataset import serialize_dataset, write_dataset
+from xlconsist.dataset import dataset_hash, load_dataset, serialize_dataset, write_dataset
 from xlconsist.fixtures import bundled_fixture_path, mini_fixture, mini_fixture_answers
 from xlconsist.mockllm import MockLLMServer
 
@@ -91,6 +91,30 @@ def test_language_subset_gives_submatrix(runner, tmp_path):
     for name in ("xsc", "xac", "xtc"):
         assert sub.matrices[name].languages == ("en", "zh")
         assert sub.matrices[name].cell("en", "zh") == full.matrices[name].cell("en", "zh")
+
+
+def test_provenance_hashes_the_scored_dataset(runner, tmp_path):
+    answers, full_path = run_pipeline(runner, tmp_path, "full")
+    _, sub_path = run_pipeline(runner, tmp_path, "sub", languages="zh,en",
+                               reuse_answers=answers)
+    dataset = load_dataset(bundled_fixture_path())
+    full = ConsistencyReport.from_json(full_path).provenance["dataset_hash"]
+    sub = ConsistencyReport.from_json(sub_path).provenance["dataset_hash"]
+    assert full == dataset_hash(dataset)
+    assert sub == dataset_hash(dataset.subset(["zh", "en"])) != full
+
+
+@pytest.mark.parametrize("beta, shown", [(".nan", "nan"), (".inf", "inf"), ("1e155", "1e+155")])
+def test_score_refuses_a_beta_that_gives_nan(runner, tmp_path, beta, shown):
+    config = tmp_path / "run.yaml"
+    config.write_text(f"schema: xlconsist-run/1\nchrf:\n  beta: {beta}\n", encoding="utf-8")
+    result = runner.invoke(cli, [
+        "score", "--config", str(config), "--dataset", str(bundled_fixture_path()),
+        "--ground-truth", "--out-dir", str(tmp_path / "out"), "--provider-kind", "mock",
+    ])
+    assert result.exit_code == 1
+    assert f"beta must be finite and > 0, with a finite square; got {shown}" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_score_ground_truth_oracle(runner, tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import multiprocessing
@@ -739,6 +740,28 @@ def test_worker_exception_propagates(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+class CountsPickling(str):
+    pickled = 0
+
+    def __reduce__(self):
+        type(self).pickled += 1
+        return str, (str(self),)
+
+
+def test_workers_take_their_jobs_through_fork_and_freeze_what_they_inherit(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(
+        consistency, "chrf_batch", lambda hyps, refs, cfg: [float(gc.get_freeze_count())]
+    )
+    jobs = [([CountsPickling("a")], ["b"])] * 3
+    scores, result = consistency._score_jobs(jobs, consistency.DEFAULT_CHRF, lambda: "here")
+    assert result == "here"
+    assert CountsPickling.pickled == 0
+    assert len(scores) == 3 and all(row[0] > 0 for row in scores)
+    assert gc.get_freeze_count() == 0
+    assert multiprocessing.active_children() == []
+
+
 def test_cli_import_loads_no_multiprocessing():
     # the pool's modules load on the first pooled build_report, not with the package
     src = Path(consistency.__file__).resolve().parents[1]
@@ -747,3 +770,96 @@ def test_cli_import_loads_no_multiprocessing():
         [sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr or "xlconsist.cli imported multiprocessing"
+
+
+# -- build_report: answers looked up once, provenance while the workers run ----
+
+
+def without(answers, *cells):
+    """A copy of `answers` that lacks the given (lang, item) cells."""
+    copy = AnswerSet(run_id=answers.run_id, model_id=answers.model_id)
+    for key, text in answers.answers.items():
+        if key not in cells:
+            copy.set_answer(*key, text, text, "ok")
+    return copy
+
+
+@pytest.mark.parametrize("include_timeliness", [False, True])
+def test_missing_qa_cell_is_refused_before_embedding(include_timeliness):
+    dataset, answers = synthetic_run(languages=("en", "de", "zh"))
+    item = dataset.qa_items[3].id
+    embedder = SpyEmbedder()
+    with pytest.raises(MissingAnswersError) as excinfo:
+        build_report(without(answers, ("de", item)), dataset, embedder,
+                     include_timeliness=include_timeliness)
+    assert str(excinfo.value) == f"1 answers missing: de/{item}"
+    assert embedder.calls == []
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("include_timeliness", [False, True])
+def test_missing_timeliness_cell_is_refused_before_embedding(include_timeliness):
+    dataset, answers = synthetic_run(languages=("en", "de", "zh"))
+    item = dataset.timeliness_items[1].id
+    embedder = SpyEmbedder()
+    with pytest.raises(MissingAnswersError) as excinfo:
+        build_report(without(answers, ("zh", item)), dataset, embedder,
+                     include_timeliness=include_timeliness)
+    assert str(excinfo.value) == f"1 answers missing: zh/{item}"
+    assert embedder.calls == []
+
+
+def test_missing_cells_are_named_in_check_order():
+    dataset, answers = synthetic_run(languages=("en", "de", "zh"))
+    qa, timely = dataset.qa_items[0].id, dataset.timeliness_items[0].id
+    gaps = without(answers, ("zh", qa), ("en", timely), ("de", qa))
+    # the items xAC scores are checked first, language by language
+    with pytest.raises(MissingAnswersError, match=rf"^2 answers missing: de/{qa}, zh/{qa}$"):
+        build_report(gaps, dataset, SpyEmbedder())
+    with pytest.raises(
+        MissingAnswersError, match=rf"^3 answers missing: en/{timely}, de/{qa}, zh/{qa}$"
+    ):
+        build_report(gaps, dataset, SpyEmbedder(), include_timeliness=True)
+
+
+@pytest.mark.parametrize("include_timeliness", [False, True])
+def test_build_report_calls_xsc_once_and_matches_the_public_metrics(
+    monkeypatch, include_timeliness
+):
+    dataset, answers = synthetic_run()
+    calls = []
+    public_xsc = consistency.xsc
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return public_xsc(*args, **kwargs)
+
+    monkeypatch.setattr(consistency, "xsc", counted)
+    embedder = SpyEmbedder()
+    report = build_report(answers, dataset, embedder, include_timeliness=include_timeliness,
+                          xtc_mode=FORMULA, tau=0.3)
+    assert calls == [{"include_timeliness": include_timeliness}]
+    semantic = public_xsc(answers, dataset, embedder, include_timeliness=include_timeliness)
+    accuracy = xac(answers, dataset, include_timeliness=include_timeliness)
+    timeliness = xtc(answers, dataset, mode=FORMULA, tau=0.3)
+    assert (report.xsc, report.xac, report.xtc) == (
+        semantic.score, accuracy.score, timeliness.score
+    )
+    assert report.matrices["xsc"].to_jsonable() == semantic.matrix.to_jsonable()
+    assert report.matrices["xac"].to_jsonable() == accuracy.matrix.to_jsonable()
+
+
+def test_provenance_callable_runs_while_the_workers_run(monkeypatch):
+    dataset, answers = synthetic_run(languages=("en", "de"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    workers = []
+
+    def provenance():
+        workers.append(len(multiprocessing.active_children()))
+        return {"note": "late", "seed": 5}
+
+    report = build_report(answers, dataset, SpyEmbedder(), provenance=provenance)
+    assert workers == [2]
+    assert report.provenance["note"] == "late" and report.provenance["seed"] == 5
+    eager = build_report(answers, dataset, SpyEmbedder(), provenance={"note": "late", "seed": 5})
+    assert eager.to_json() == report.to_json()

@@ -102,6 +102,19 @@ def test_invalid_configs_rejected():
         ChrfConfig(beta=-1.0)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 1e155])
+def test_beta_that_gives_nan_is_refused(beta):
+    # each of these made every score NaN, even chrf("abc", "abc")
+    with pytest.raises(ValueError, match=re.escape(repr(beta))):
+        ChrfConfig(beta=beta)
+
+
+def test_largest_accepted_beta_scores_identity_one():
+    cfg = ChrfConfig(beta=1e150)  # beta**2 = 1e300, still finite
+    assert chrf("abc", "abc", cfg) == 1.0
+    assert chrf("abc", "abd", cfg) == oracle_chrf("abc", "abd", beta=1e150)
+
+
 def test_fifty_pair_fixture_matches_brute_force_oracle():
     cfg = ChrfConfig()
     for hyp, ref in PAIRS:
@@ -154,6 +167,17 @@ BATCH_PAIRS = PAIRS + [
     ("aa", "aaaa"),
     ("Paris", "Paris"),
     ("Paris", "Paris"),
+    # pairs whose prepared forms may be equal, which skip the n-gram pass
+    ("   ", "   "),
+    (" \t\n", "   "),
+    ("ABC", "abc"),
+    ("Straße X", "STRASSE x"),
+    (unicodedata.normalize("NFD", "é"), "é"),
+    ("Buenos Aires", "Buenos  Aires"),
+    ("a", "a"),
+    ("東", "東"),
+    ("a b", "a b"),
+    ("ab c", "a bc"),  # equal characters, other words
 ]
 BATCH_CONFIGS = [
     (ChrfConfig(), {}),
@@ -203,3 +227,15 @@ def test_batch_equals_oracle_on_random_batches(pairs, config):
     cfg, options = config
     scores = chrf_batch([hyp for hyp, _ in pairs], [ref for _, ref in pairs], cfg)
     assert scores == [oracle_chrf(hyp, ref, **options) for hyp, ref in pairs]
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 3, 40])
+@pytest.mark.parametrize("cfg, options", BATCH_CONFIGS)
+def test_chunked_batch_equals_oracle(monkeypatch, chunk_chars, cfg, options):
+    # BATCH_PAIRS mixes pairs that skip the n-gram pass with pairs that take it
+    module = importlib.import_module("xlconsist.textmetrics.chrf")
+    monkeypatch.setattr(module, "CHUNK_CHARS", chunk_chars)
+    hyps = [hyp for hyp, _ in BATCH_PAIRS]
+    refs = [ref for _, ref in BATCH_PAIRS]
+    expected = [oracle_chrf(hyp, ref, **options) for hyp, ref in BATCH_PAIRS]
+    assert chrf_batch(hyps, refs, cfg) == expected
