@@ -1,15 +1,18 @@
 """Answer collection over a chat-completions endpoint, few-shot style.
 
 Each request carries sampled exemplar QA pairs as prior turns and the
-target question as the final user message. Worker threads send them
+target question as the final user message. `concurrency` request loops,
+one thread each, take cells from one shared iterator and send them
 through one `transport.Transport`, one keep-alive connection per
-thread; `ChatClient` adds retries with jittered backoff on top. Completed
-cells are appended to the answers store immediately, so an interrupted
-run resumes by filling only the missing cells; a store collected with
-another run id, variant, seed, model, dataset or shot count is refused. Raw
-completions are stored verbatim next to the post-processed answer so
-answers can be re-extracted later, and the run manifest records each
-cell's status and attempts.
+thread; `ChatClient` adds retries with jittered backoff on top. Each loop
+hands `(lang, item, status)` back to the calling thread through a queue.
+Completed cells are appended to the answers store immediately, so an
+interrupted run resumes by filling only the missing cells; a store
+collected with another run id, variant, seed, model, dataset or shot
+count is refused. Raw completions are stored verbatim next to the
+post-processed answer so answers can be re-extracted later, and the run
+manifest records each cell's status, attempts and the exemplars from
+which `RunManifest.rebuild_messages` rebuilds any request.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import queue
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from importlib.resources import files
@@ -40,7 +43,6 @@ from .transport import Transport
 
 log = logging.getLogger(__name__)
 
-ANSWER_CUE = "\nAnswer:"
 SYSTEM_PROMPT = "Answer the question concisely, in the language it is asked."
 TIMELINESS_DOMAIN = "timeliness"
 
@@ -145,25 +147,6 @@ def _question_for(item, lang: str, variant: str, templates, paraphrases) -> str:
             )
         return question
     raise ValueError(f"unknown prompt variant {variant!r}")
-
-
-def build_prompt(
-    item,
-    lang: str,
-    exemplars,
-    variant: str = "p1",
-    templates: QuestionTemplates | None = None,
-    paraphrases: dict | None = None,
-) -> str:
-    """Flat-text form of the prompt: exemplar QA pairs, then the question
-    plus the answer cue. The chat request sends the same content as turns."""
-    question = _question_for(item, lang, variant, templates, paraphrases)
-    blocks = [
-        f"{exemplar.questions[lang]}{ANSWER_CUE} {exemplar.answers[lang]}"
-        for exemplar in exemplars
-    ]
-    blocks.append(f"{question}{ANSWER_CUE}")
-    return "\n\n".join(blocks)
 
 
 def build_messages(
@@ -302,19 +285,19 @@ class RunManifest:
             finished_at=data.get("finished_at"),
         )
 
-    def rebuild_prompt(
+    def rebuild_messages(
         self,
         dataset: Dataset,
         lang: str,
         item_id: str,
         templates: QuestionTemplates | None = None,
         paraphrases: dict | None = None,
-    ) -> str:
-        """Reconstruct the exact flat prompt of a recorded request."""
+    ) -> list[dict]:
+        """The chat messages the run sent for one cell."""
         item, domain = _find_item(dataset, item_id)
         by_id = {e.id: e for e in dataset.few_shot_pool.get(domain, ())}
         exemplars = [by_id[eid] for eid in self.exemplar_ids.get(domain, [])]
-        return build_prompt(
+        return build_messages(
             item, lang, exemplars, self.config.get("prompt_variant", "p1"), templates, paraphrases
         )
 
@@ -349,8 +332,10 @@ def collect_answers(
     """Collect one answer per (language, item); resumable and rate-limited.
 
     `progress(lang, item_id, status)` is invoked in the coordinating thread
-    as cells complete; exceptions it raises abort the run (already-persisted
-    cells survive and are skipped on the next call).
+    as cells complete; exceptions it raises abort the run, as does an
+    `AuthenticationError`. No cell starts after that, every request loop is
+    joined, and the cells already stored survive and are skipped on the
+    next call.
     """
     store_path = Path(store_path)
     languages = list(languages)
@@ -454,19 +439,51 @@ def collect_answers(
             append_answer_record(store_handle, lang, item.id, raw, text, status, attempts)
         return lang, item.id, status
 
+    cells_left = iter(pending)
+    take_lock = threading.Lock()
+    stop = threading.Event()
+    # at most concurrency + 1 cells are taken and not yet reported, so a run
+    # that `progress` stops at its k-th report has stored at most
+    # k + concurrency cells
+    slots = threading.Semaphore(cfg.concurrency + 1)
+    results = queue.SimpleQueue()  # (lang, item_id, status), an exception, or None: loop ended
+
+    def request_loop():
+        try:
+            while True:
+                slots.acquire()
+                with take_lock:
+                    cell = None if stop.is_set() else next(cells_left, None)
+                if cell is None:
+                    break
+                results.put(fetch_cell(*cell))
+        except BaseException as exc:
+            results.put(exc)
+        results.put(None)
+
+    loops = []
     try:
-        with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-            futures = [pool.submit(fetch_cell, item, domain, lang) for item, domain, lang in pending]
-            try:
-                for future in as_completed(futures):
-                    lang, item_id, status = future.result()
-                    if progress is not None:
-                        progress(lang, item_id, status)
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
+        for k in range(min(cfg.concurrency, len(pending))):
+            loop = threading.Thread(target=request_loop, name=f"xlconsist-collect-{k}")
+            loop.start()
+            loops.append(loop)
+        running = len(loops)
+        while running:
+            outcome = results.get()
+            if outcome is None:
+                running -= 1
+                continue
+            if isinstance(outcome, BaseException):
+                raise outcome
+            if progress is not None:
+                progress(*outcome)
+            slots.release()
     finally:
+        with take_lock:
+            stop.set()
+        slots.release(cfg.concurrency)  # wake every loop waiting for a slot
+        for loop in loops:
+            loop.join()
         store_handle.close()
         client.transport.close()
 

@@ -3,7 +3,11 @@
 Serves the wire format the collection client speaks, answering the last
 user message from a question -> answer map (defaults to the bundled
 fixture answers). Unknown questions get a stable hash-derived reply so
-runs stay deterministic.
+runs stay deterministic. It speaks HTTP/1.1 and keeps connections alive,
+as a real chat endpoint does, so a client reuses one connection per
+thread; `stop()` shuts those connections too. Each response goes out in
+one write: sent as headers and then body, the body would wait for the
+client's delayed ACK under Nagle's algorithm, about 40 ms a request.
 
     python -m xlconsist.mockllm --port 8089
     python -m xlconsist.mockllm --answers my_answers.json
@@ -14,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -23,6 +28,13 @@ from pathlib import Path
 def fallback_answer(question: str) -> str:
     digest = hashlib.sha256(question.encode("utf-8")).hexdigest()
     return f"unknown-{digest[:8]}"
+
+
+def _shut(sock) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)  # its handler reads EOF and ends
+    except OSError:
+        pass  # the client closed it first
 
 
 class MockLLMServer:
@@ -35,6 +47,8 @@ class MockLLMServer:
         self.max_in_flight = 0
         self._in_flight = 0
         self._stats_lock = threading.Lock()
+        self._open = set()  # kept-alive connections, shut down by stop()
+        self._stopped = False
         self._server = ThreadingHTTPServer(("127.0.0.1", port), self._make_handler())
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
@@ -48,6 +62,10 @@ class MockLLMServer:
 
     def stop(self) -> None:
         self._server.shutdown()
+        with self._stats_lock:
+            self._stopped = True
+            for sock in self._open:
+                _shut(sock)
         self._server.server_close()
 
     def __enter__(self):
@@ -60,6 +78,21 @@ class MockLLMServer:
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            wbufsize = -1  # headers and body leave in one write, on flush
+
+            def setup(self):
+                super().setup()
+                with server._stats_lock:
+                    if server._stopped:
+                        _shut(self.connection)
+                    server._open.add(self.connection)
+
+            def finish(self):
+                with server._stats_lock:
+                    server._open.discard(self.connection)
+                super().finish()
+
             def do_POST(self):
                 with server._stats_lock:
                     server.request_count += 1
@@ -93,6 +126,7 @@ class MockLLMServer:
 
             def do_GET(self):
                 self.send_response(200)
+                self.send_header("Content-Length", "2")
                 self.end_headers()
                 self.wfile.write(b"ok")
 

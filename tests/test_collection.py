@@ -7,13 +7,12 @@ import pytest
 
 from xlconsist.answers import STATUS_FAILED, STATUS_OK, load_answers
 from xlconsist.collection import (
-    ANSWER_CUE,
+    SYSTEM_PROMPT,
     CollectionConfig,
     QuestionTemplates,
     RunManifest,
     TokenBucket,
     build_messages,
-    build_prompt,
     collect_answers,
     postprocess_answer,
     sample_exemplars,
@@ -56,23 +55,25 @@ def test_sample_pool_too_small():
 
 # -- prompts -------------------------------------------------------------------
 
-def test_zero_shot_prompt_is_question_plus_cue():
+def test_zero_shot_prompt_is_system_prompt_and_question():
     d = mini_fixture()
     item = d.qa_items[0]
-    prompt = build_prompt(item, "en", [])
-    assert prompt == item.questions["en"] + ANSWER_CUE
+    assert build_messages(item, "en", []) == [
+        {"role": "system", "content": SYSTEM_PROMPT},
+        {"role": "user", "content": item.questions["en"]},
+    ]
 
 
 def test_prompt_contains_exemplars_in_order():
     d = mini_fixture()
     item = d.qa_items[0]
     exemplars = list(d.few_shot_pool["geography"][:2])
-    prompt = build_prompt(item, "de", exemplars)
-    first = prompt.index(exemplars[0].questions["de"])
-    second = prompt.index(exemplars[1].questions["de"])
-    target = prompt.index(item.questions["de"])
-    assert first < second < target
-    assert prompt.index(exemplars[0].answers["de"]) < second
+    messages = build_messages(item, "de", exemplars)
+    assert [m["content"] for m in messages[1:]] == [
+        exemplars[0].questions["de"], exemplars[0].answers["de"],
+        exemplars[1].questions["de"], exemplars[1].answers["de"],
+        item.questions["de"],
+    ]
 
 
 def test_p2_template_golden():
@@ -92,18 +93,18 @@ def test_p2_template_golden():
 def test_p2_prompt_uses_template():
     d = mini_fixture()
     item = d.qa_items[0]  # France / capital
-    prompt = build_prompt(item, "en", [], variant="p2")
-    assert prompt == "What is the capital of France?" + ANSWER_CUE
+    messages = build_messages(item, "en", [], variant="p2")
+    assert messages[-1] == {"role": "user", "content": "What is the capital of France?"}
 
 
 def test_p3_requires_paraphrase():
     d = mini_fixture()
     item = d.qa_items[0]
     paraphrases = {item.id: {"en": "Name the French capital city."}}
-    prompt = build_prompt(item, "en", [], variant="p3", paraphrases=paraphrases)
-    assert prompt.startswith("Name the French capital city.")
+    messages = build_messages(item, "en", [], variant="p3", paraphrases=paraphrases)
+    assert messages[-1]["content"] == "Name the French capital city."
     with pytest.raises(ParaphraseMissingError):
-        build_prompt(item, "de", [], variant="p3", paraphrases=paraphrases)
+        build_messages(item, "de", [], variant="p3", paraphrases=paraphrases)
 
 
 def test_build_messages_shape():
@@ -184,27 +185,26 @@ def test_concurrency_limit_respected(tmp_path):
         assert server.request_count == 84
 
 
-def test_manifest_reconstructs_prompts(tmp_path):
+def test_manifest_reconstructs_prompts(tmp_path, flaky_server):
+    url, handler = flaky_server
+    handler.fail_times = 0
     dataset = mini_fixture()
-    with MockLLMServer(mini_fixture_answers()) as server:
-        _, manifest = collect_fixture(tmp_path / "a.jsonl", server.url)
+    collect_answers(dataset, dataset.languages, make_cfg(url), tmp_path / "a.jsonl", run_id="t-run")
     loaded = RunManifest.load(str(tmp_path / "a.jsonl") + ".manifest.json")
-    exemplars = [
-        e for e in dataset.few_shot_pool["geography"]
-        if e.id in loaded.exemplar_ids["geography"]
-    ]
-    # order must match the sampled order, not pool order
-    by_id = {e.id: e for e in exemplars}
-    expected = build_prompt(
-        dataset.qa_items[0], "zh",
-        [by_id[eid] for eid in loaded.exemplar_ids["geography"]],
-    )
-    assert loaded.rebuild_prompt(dataset, "zh", "geo-01") == expected
+    rebuilt = [loaded.rebuild_messages(dataset, *key.split("/")) for key in loaded.statuses]
+
+    def canonical(requests):
+        return sorted(json.dumps(messages, ensure_ascii=False) for messages in requests)
+
+    # exemplars in the sampled order, not pool order, as the server received them
+    assert len(handler.received) == len(rebuilt) == 84
+    assert canonical(rebuilt) == canonical(handler.received)
     assert loaded.statuses["zh/geo-01"]["status"] == STATUS_OK
 
 
 class _FlakyHandler(BaseHTTPRequestHandler):
     state = {}
+    received = []
     fail_times = 2
     always_fail = False
     auth_error = False
@@ -216,6 +216,7 @@ class _FlakyHandler(BaseHTTPRequestHandler):
             return
         length = int(self.headers.get("Content-Length", 0))
         payload = json.loads(self.rfile.read(length))
+        self.received.append(payload["messages"])
         question = [m for m in payload["messages"] if m["role"] == "user"][-1]["content"]
         seen = self.state.get(question, 0)
         self.state[question] = seen + 1
@@ -237,7 +238,7 @@ class _FlakyHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def flaky_server():
-    handler = type("Flaky", (_FlakyHandler,), {"state": {}})
+    handler = type("Flaky", (_FlakyHandler,), {"state": {}, "received": []})
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", handler
@@ -341,6 +342,48 @@ def test_resume_idempotence(tmp_path):
     assert resumed.answers == uninterrupted.answers
     assert resumed.statuses == uninterrupted.statuses
     assert resumed.raw == uninterrupted.raw
+
+
+def test_progress_abort_stops_every_request_loop(tmp_path):
+    """A progress callback that raises at its k-th cell ends the run with at
+    most k + concurrency cells stored, every request loop joined; the next
+    call fetches only the missing cells."""
+    dataset = mini_fixture()
+    store = tmp_path / "a.jsonl"
+    k, concurrency = 5, 3
+    reported = []
+
+    def stop_at_k(lang, item_id, status):
+        reported.append((lang, item_id))
+        if len(reported) == k:
+            raise StopAfter()
+        # slower than a request, so the loops wait for the callback; the last
+        # short wait lets a loop start a request that is in flight at the abort
+        time.sleep(0.06 if len(reported) < k - 1 else 0.005)
+
+    with MockLLMServer(mini_fixture_answers(), latency=0.02) as server:
+        cfg = make_cfg(server.url, concurrency=concurrency)
+        before = set(threading.enumerate())
+        with pytest.raises(StopAfter):
+            collect_answers(
+                dataset, dataset.languages, cfg, store, run_id="t-run", progress=stop_at_k
+            )
+        # the mock's own per-connection threads end when the client closes them
+        left = [
+            thread for thread in set(threading.enumerate()) - before
+            if "process_request_thread" not in thread.name
+        ]
+        assert left == []
+        assert server.request_count <= k + concurrency
+        stored = load_answers(store)
+        assert set(reported) <= set(stored.answers)
+        assert k <= len(stored.answers) <= k + concurrency
+
+        fetched = server.request_count
+        answers, _ = collect_answers(dataset, dataset.languages, cfg, store, run_id="t-run")
+        assert server.request_count - fetched == 84 - len(stored.answers)
+    assert len(answers.answers) == 84
+    assert all(status == STATUS_OK for status in answers.statuses.values())
 
 
 def test_resume_refuses_mismatched_run(tmp_path):

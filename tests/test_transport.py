@@ -1,12 +1,15 @@
 import base64
+import http.client
 import json
 import logging
 import socket
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -123,6 +126,61 @@ def test_keep_alive_reuses_one_connection(clean_env, recording_server):
         client.transport.close()
     assert len(handler.requests) == 50
     assert len(handler.connections) == 1
+
+
+def test_mock_keeps_its_connections_alive_without_a_stall(clean_env):
+    """One TCP connection for 50 sequential posts, none held up by the
+    Nagle/delayed-ACK stall (~40 ms a request when the headers and the
+    body leave in two writes); a GET leaves the connection usable."""
+    with MockLLMServer(mini_fixture_answers()) as server:
+        transport = Transport(server.url, 10.0, "UNSET_TOKEN")
+        try:
+            sockets, seconds = set(), []
+            for i in range(50):
+                start = time.perf_counter()
+                status, body = transport.post({"messages": [{"role": "user", "content": f"q{i}"}]})
+                seconds.append(time.perf_counter() - start)
+                assert status == 200 and json.loads(body)["choices"]
+                (conn,) = transport._connections
+                assert conn.sock is not None, "the server closed the connection"
+                sockets.add(conn.sock.getsockname())
+        finally:
+            transport.close()
+        assert len(sockets) == 1
+        seconds.sort()
+        assert seconds[25] < 0.01 and seconds[45] < 0.02, seconds
+
+        url = urlsplit(server.url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+        try:
+            conn.request("GET", "/")
+            response = conn.getresponse()
+            assert (response.status, response.read()) == (200, b"ok")
+            sock = conn.sock
+            question = "What is the capital of France?"
+            body = json.dumps({"messages": [{"role": "user", "content": question}]})
+            conn.request("POST", "/v1/chat/completions", body.encode(),
+                         {"Content-Type": "application/json"})
+            response = conn.getresponse()
+            content = json.loads(response.read())["choices"][0]["message"]["content"]
+            assert conn.sock is sock
+        finally:
+            conn.close()
+        assert content == mini_fixture_answers()[question]
+        assert server.request_count == 51
+
+
+def test_stopped_mock_answers_no_kept_alive_connection(clean_env):
+    server = MockLLMServer(mini_fixture_answers()).start()
+    transport = Transport(server.url, 10.0, "UNSET_TOKEN")
+    try:
+        assert transport.post({"messages": [{"role": "user", "content": "q"}]})[0] == 200
+        server.stop()
+        with pytest.raises(OSError):
+            transport.post({"messages": [{"role": "user", "content": "q"}]})
+    finally:
+        transport.close()
+    assert server.request_count == 1
 
 
 def test_server_closing_idle_connection_costs_no_attempt(clean_env, recording_server, tmp_path):
