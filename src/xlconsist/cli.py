@@ -19,7 +19,13 @@ import yaml
 
 from . import __version__
 from .answers import ground_truth_answers, load_answers
-from .collection import CollectionConfig, QuestionTemplates, collect_answers, load_paraphrases
+from .collection import (
+    VARIANTS,
+    CollectionConfig,
+    QuestionTemplates,
+    collect_answers,
+    load_paraphrases,
+)
 from .consistency import (
     PROSE,
     FORMULA,
@@ -116,7 +122,7 @@ def validate(dataset):
 @click.option("--model", help="model id sent to the endpoint")
 @click.option("--shots", type=int, default=None, help="few-shot exemplars per request")
 @click.option("--seed", type=int, default=None, help="seed for exemplar sampling")
-@click.option("--variant", type=click.Choice(["p1", "p2", "p3", "custom"]), default=None,
+@click.option("--variant", type=click.Choice(VARIANTS), default=None,
               help="prompt variant")
 @click.option("--concurrency", type=int, default=None, help="max requests in flight")
 @click.option("--rate-limit", type=float, default=None, help="client-side requests/sec cap")
@@ -193,6 +199,7 @@ def collect(config_path, dataset_path, store_path, endpoint, model, shots, seed,
     failed = sum(1 for status in answers.statuses.values() if status != "ok")
     click.echo(f"collected {len(answers.answers)} cells ({failed} failed) -> {store_path}")
     click.echo(f"manifest: {store_path}.manifest.json")
+    click.echo(f"stats: {store_path}.stats.json")
     if failed:
         sys.exit(1)
 

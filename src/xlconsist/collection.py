@@ -1,29 +1,33 @@
 """Answer collection over a chat-completions endpoint, few-shot style.
 
 Each request carries sampled exemplar QA pairs as prior turns and the
-target question as the final user message. `concurrency` request loops,
-one thread each, take cells from one shared iterator and send them
-through one `transport.Transport`, one keep-alive connection per
-thread; `ChatClient` adds retries with jittered backoff on top. Each loop
-hands `(lang, item, status)` back to the calling thread through a queue.
-Completed cells are appended to the answers store immediately, so an
-interrupted run resumes by filling only the missing cells; a store
-collected with another run id, variant, seed, model, dataset or shot
-count is refused. Raw completions are stored verbatim next to the
-post-processed answer so answers can be re-extracted later, and the run
-manifest records each cell's status, attempts and the exemplars from
-which `RunManifest.rebuild_messages` rebuilds any request.
-"""
+target question as the final user message. `collect_answers` sends the
+cells from the calling thread: one loop keeps up to `concurrency`
+requests in flight, one per keep-alive connection of one
+`transport.Transport`, and waits on a selector for whichever answer is
+ready. Rate-limit waits, jittered backoff and request deadlines are
+timers in that loop, so none of them holds up an answer that has
+arrived; `ChatClient` holds the status and retry policy, which its
+blocking `complete` shares. Completed cells are appended to the answers
+store immediately, so an interrupted run resumes by filling only the
+missing cells; a store collected with another run id, variant, seed,
+model, dataset or shot count is refused. Raw completions are stored
+verbatim next to the post-processed answer so answers can be
+re-extracted later, and the run manifest records each cell's status,
+attempts and the exemplars from which `RunManifest.rebuild_messages`
+rebuilds any request. `<store>.stats.json` counts what the run sent and
+received."""
 
 from __future__ import annotations
 
 import http.client
 import json
 import logging
-import queue
+import math
 import random
-import threading
+import selectors
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from importlib.resources import files
@@ -39,14 +43,14 @@ from .answers import (
 )
 from .dataset import Dataset, QAItem
 from .errors import AuthenticationError, ParaphraseMissingError, ProviderError, XlconsistError
-from .transport import Transport
+from .transport import Request, Transport
 
 log = logging.getLogger(__name__)
 
 SYSTEM_PROMPT = "Answer the question concisely, in the language it is asked."
 TIMELINESS_DOMAIN = "timeliness"
 
-VARIANTS = ("p1", "p2", "p3", "custom")
+VARIANTS = ("p1", "p2", "p3")
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,7 @@ def load_paraphrases(path: str | Path) -> dict:
 
 
 def _question_for(item, lang: str, variant: str, templates, paraphrases) -> str:
-    if variant in ("p1", "custom"):
+    if variant == "p1":
         return item.questions[lang]
     if variant == "p2":
         templates = templates or QuestionTemplates.load()
@@ -181,25 +185,36 @@ class TokenBucket:
         self.capacity = max(burst, 1.0)
         self.tokens = self.capacity
         self.updated = time.monotonic()
-        self._lock = threading.Lock()
+
+    def reserve(self) -> float:
+        """Take a token; returns the seconds until it is due, 0 when one was
+        in the bucket. Tokens taken ahead are paid back as the bucket refills."""
+        if self.rate is None:
+            return 0.0
+        now = time.monotonic()
+        self.tokens = min(self.capacity, self.tokens + (now - self.updated) * self.rate) - 1.0
+        self.updated = now
+        return max(0.0, -self.tokens / self.rate)
 
     def acquire(self) -> None:
-        if self.rate is None:
-            return
-        while True:
-            with self._lock:
-                now = time.monotonic()
-                self.tokens = min(self.capacity, self.tokens + (now - self.updated) * self.rate)
-                self.updated = now
-                if self.tokens >= 1.0:
-                    self.tokens -= 1.0
-                    return
-                wait = (1.0 - self.tokens) / self.rate
-            time.sleep(wait)
+        time.sleep(self.reserve())
+
+
+class _Retryable(ProviderError):
+    """A response after which another attempt may succeed."""
+
+
+# what ends one attempt of a request and leaves the next one to try again
+_RETRY_ERRORS = (OSError, http.client.HTTPException, _Retryable)
 
 
 class ChatClient:
-    """chat-completions-over-HTTP with retries and jittered backoff."""
+    """chat-completions-over-HTTP with retries and jittered backoff.
+
+    `complete` sends one cell and blocks through its retries. The same
+    policy serves `collect_answers`' loop: `completion` reads a response,
+    `backoff` spaces the attempts and `exhausted` is the error of a cell
+    whose attempts ran out."""
 
     RETRYABLE = {429, 500, 502, 503, 504}
 
@@ -208,40 +223,51 @@ class ChatClient:
         self.transport = Transport(cfg.endpoint, cfg.timeout, cfg.token_env)
         self._jitter = random.Random(cfg.exemplar_seed)
 
-    def complete(self, messages: list[dict]) -> tuple[str, int]:
-        """Returns (completion text, attempts used); raises after retries."""
-        payload = {
+    def payload(self, messages: list[dict]) -> dict:
+        return {
             "model": self.cfg.model,
             "messages": messages,
             "temperature": self.cfg.temperature,
             **self.cfg.decoding,
         }
+
+    def completion(self, status: int, body: bytes) -> str:
+        """The completion text of one response. Raises AuthenticationError
+        on 401 and 403, `_Retryable` on a retryable status or a malformed
+        body, and ProviderError on any other status."""
+        if status in (401, 403):
+            raise AuthenticationError(f"endpoint rejected credentials ({status})")
+        if status in self.RETRYABLE:
+            raise _Retryable(f"HTTP {status}")
+        if status != 200:
+            raise ProviderError(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
+        try:
+            return str(json.loads(body)["choices"][0]["message"]["content"])
+        except (ValueError, KeyError, IndexError) as exc:
+            raise _Retryable(f"malformed completion response: {exc}") from None
+
+    def backoff(self, attempt: int) -> float:
+        """Seconds to wait before attempt number `attempt` (2 or more)."""
+        base = self.cfg.backoff_base * 2 ** (attempt - 2)
+        return base * (0.5 + self._jitter.random())
+
+    def exhausted(self, last_error: Exception | None) -> ProviderError:
+        return ProviderError(
+            f"request failed after {self.cfg.max_attempts} attempts: {last_error}"
+        )
+
+    def complete(self, messages: list[dict]) -> tuple[str, int]:
+        """Returns (completion text, attempts used); raises after retries."""
+        payload = self.payload(messages)
         last_error: Exception | None = None
         for attempt in range(1, self.cfg.max_attempts + 1):
             if attempt > 1:
-                base = self.cfg.backoff_base * 2 ** (attempt - 2)
-                time.sleep(base * (0.5 + self._jitter.random()))
+                time.sleep(self.backoff(attempt))
             try:
-                status, body = self.transport.post(payload)
-            except (OSError, http.client.HTTPException) as exc:
+                return self.completion(*self.transport.post(payload)), attempt
+            except _RETRY_ERRORS as exc:
                 last_error = exc
-                continue
-            if status in (401, 403):
-                raise AuthenticationError(f"endpoint rejected credentials ({status})")
-            if status in self.RETRYABLE:
-                last_error = ProviderError(f"HTTP {status}")
-                continue
-            if status != 200:
-                raise ProviderError(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
-            try:
-                content = json.loads(body)["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError) as exc:
-                last_error = ProviderError(f"malformed completion response: {exc}")
-                continue
-            return str(content), attempt
-        raise ProviderError(
-            f"request failed after {self.cfg.max_attempts} attempts: {last_error}"
-        )
+        raise self.exhausted(last_error)
 
 
 @dataclass
@@ -316,6 +342,175 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _nearest_rank(ordered: list[float], percent: int) -> float | None:
+    if not ordered:
+        return None
+    return ordered[max(0, math.ceil(percent / 100 * len(ordered)) - 1)]
+
+
+@dataclass
+class _CollectStats:
+    """What one `collect_answers` call sent and received, saved next to the
+    store as `<store>.stats.json`. A resumed run counts only its own
+    requests. Latency runs from a request's send to the end of its
+    response, over the attempts that got one."""
+
+    cells_sent: int = 0
+    attempts: int = 0
+    stale_resends: int = 0
+    no_response: int = 0  # attempts ended by a timeout or a connection error
+    failed_cells: int = 0
+    status_counts: Counter = field(default_factory=Counter)
+    latencies_ms: list[float] = field(default_factory=list)
+
+    def save(self, path: str | Path) -> None:
+        ordered = sorted(self.latencies_ms)
+        payload = {
+            "schema": "xlconsist-collect-stats/1",
+            "cells_sent": self.cells_sent,
+            "attempts": self.attempts,
+            "retries": self.attempts - self.cells_sent,
+            "stale_resends": self.stale_resends,
+            "status_counts": {str(code): n for code, n in sorted(self.status_counts.items())},
+            "no_response": self.no_response,
+            "failed_cells": self.failed_cells,
+            "latency_ms_p50": _nearest_rank(ordered, 50),
+            "latency_ms_p95": _nearest_rank(ordered, 95),
+        }
+        Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+
+
+@dataclass(eq=False)
+class _Slot:
+    """One keep-alive connection and the cell it serves. The cell keeps its
+    slot while it waits for a rate token, is in flight and backs off."""
+
+    conn: http.client.HTTPConnection
+    cell: tuple | None = None  # (item, domain, lang); None once no cell is left
+    payload: dict | None = None
+    attempt: int = 0
+    request: Request | None = None  # set while a request is in flight
+    sent: float = 0.0
+    wake: float = 0.0  # in flight: the request's deadline; else when to send
+
+
+class _CellLoop:
+    """Sends cells from the calling thread with up to `concurrency` requests
+    in flight, one per connection, under `ChatClient`'s retry policy.
+
+    It waits on a selector for whichever connection has its answer ready;
+    its timeout is the earliest rate-limit wait, backoff or request
+    deadline, so none of them holds up an answer that has arrived. A
+    finished cell goes to `done(cell, raw, status, attempts)`, and then its
+    slot sends the next cell on the same connection."""
+
+    def __init__(self, client: ChatClient, cells: list, payload_for, done):
+        self.client = client
+        self.cfg = client.cfg
+        self.cells = iter(cells)
+        self.slots = [
+            _Slot(client.transport.connect()) for _ in range(min(self.cfg.concurrency, len(cells)))
+        ]
+        self.payload_for = payload_for
+        self.done = done
+        self.bucket = TokenBucket(self.cfg.rate_limit_rps, burst=float(self.cfg.concurrency))
+        self.stats = _CollectStats()
+        self.selector = selectors.DefaultSelector()
+
+    def run(self) -> None:
+        slots = self.slots
+        with self.selector:
+            now = time.monotonic()
+            for slot in slots:
+                self._take(slot, now)
+            while True:
+                now = time.monotonic()
+                for slot in slots:
+                    while slot.cell is not None and slot.wake <= now:
+                        if slot.request is None:
+                            self._send(slot)
+                        else:
+                            self._expire(slot, now)
+                wakes = [slot.wake for slot in slots if slot.cell is not None]
+                if not wakes:
+                    return
+                for key, _ in self.selector.select(max(0.0, min(wakes) - time.monotonic())):
+                    self._receive(key.data)
+
+    def _take(self, slot: _Slot, now: float) -> None:
+        slot.cell = next(self.cells, None)
+        if slot.cell is not None:
+            slot.payload = self.payload_for(slot.cell)
+            slot.attempt = 0
+            slot.wake = now + self.bucket.reserve()
+
+    def _send(self, slot: _Slot) -> None:
+        slot.attempt += 1
+        self.stats.attempts += 1
+        if slot.attempt == 1:
+            self.stats.cells_sent += 1
+        try:
+            slot.request = self.client.transport.send(slot.conn, slot.payload)
+        except (OSError, http.client.HTTPException) as exc:
+            self._retry(slot, exc, time.monotonic())
+            return
+        self.stats.stale_resends += slot.request.resent
+        self.selector.register(slot.conn.sock, selectors.EVENT_READ, slot)
+        slot.sent = time.monotonic()
+        slot.wake = slot.sent + self.cfg.timeout
+
+    def _expire(self, slot: _Slot, now: float) -> None:
+        self.selector.unregister(slot.conn.sock)
+        slot.conn.close()  # a late answer must not meet the next request
+        self._retry(slot, TimeoutError(f"no response within {self.cfg.timeout} s"), now)
+
+    def _receive(self, slot: _Slot) -> None:
+        self.selector.unregister(slot.conn.sock)
+        try:
+            answer = self.client.transport.receive(slot.request)
+        except (OSError, http.client.HTTPException) as exc:
+            self._retry(slot, exc, time.monotonic())
+            return
+        if answer is None:  # resent on a fresh connection: wait again
+            self.stats.stale_resends += 1
+            self.selector.register(slot.conn.sock, selectors.EVENT_READ, slot)
+            return
+        now = time.monotonic()
+        slot.request = None
+        status, body = answer
+        self.stats.status_counts[status] += 1
+        self.stats.latencies_ms.append((now - slot.sent) * 1000.0)
+        try:
+            raw = self.client.completion(status, body)
+        except _Retryable as exc:
+            self._retry(slot, exc, now)
+        except AuthenticationError:
+            raise  # fatal: no point continuing the run
+        except ProviderError as exc:
+            self._fail(slot, exc)
+        else:
+            self._finish(slot, raw, STATUS_OK, slot.attempt)
+
+    def _retry(self, slot: _Slot, error: Exception, now: float) -> None:
+        slot.request = None
+        if not isinstance(error, _Retryable):
+            self.stats.no_response += 1
+        if slot.attempt < self.cfg.max_attempts:
+            slot.wake = now + self.client.backoff(slot.attempt + 1)
+        else:
+            self._fail(slot, self.client.exhausted(error))
+
+    def _fail(self, slot: _Slot, error: ProviderError) -> None:
+        item, _, lang = slot.cell
+        log.warning("cell %s/%s failed after retries: %s", lang, item.id, error)
+        self.stats.failed_cells += 1
+        self._finish(slot, "", STATUS_FAILED, self.cfg.max_attempts)
+
+    def _finish(self, slot: _Slot, raw: str, status: str, attempts: int) -> None:
+        self.done(slot.cell, raw, status, attempts)
+        self._take(slot, time.monotonic())
+
+
 def collect_answers(
     dataset: Dataset,
     languages,
@@ -331,11 +526,12 @@ def collect_answers(
 ) -> tuple[AnswerSet, RunManifest]:
     """Collect one answer per (language, item); resumable and rate-limited.
 
-    `progress(lang, item_id, status)` is invoked in the coordinating thread
-    as cells complete; exceptions it raises abort the run, as does an
-    `AuthenticationError`. No cell starts after that, every request loop is
-    joined, and the cells already stored survive and are skipped on the
-    next call.
+    Starts no thread. `progress(lang, item_id, status)` is invoked in the
+    calling thread as each cell is stored; exceptions it raises abort the
+    run, as does an `AuthenticationError`. No request is sent after that,
+    every connection and the store are closed, and the cells already
+    stored survive and are skipped on the next call. Writes
+    `<store>.manifest.json` and `<store>.stats.json` when the run ends.
     """
     store_path = Path(store_path)
     languages = list(languages)
@@ -417,75 +613,27 @@ def collect_answers(
                 continue
             pending.append((item, domain, lang))
 
-    bucket = TokenBucket(cfg.rate_limit_rps, burst=float(cfg.concurrency))
-    write_lock = threading.Lock()
-    store_handle = open(store_path, "a", encoding="utf-8")
-
-    def fetch_cell(item, domain, lang):
-        bucket.acquire()
+    def payload_for(cell):
+        item, domain, lang = cell
         messages = build_messages(
             item, lang, exemplars_by_domain[domain], cfg.prompt_variant, templates, paraphrases
         )
-        try:
-            raw, attempts = client.complete(messages)
-            text = postprocess_answer(raw, cfg.cut_at_newline)
-            status = STATUS_OK
-        except AuthenticationError:
-            raise  # fatal: no point continuing the run
-        except ProviderError as exc:
-            log.warning("cell %s/%s failed after retries: %s", lang, item.id, exc)
-            raw, text, status, attempts = "", "", STATUS_FAILED, cfg.max_attempts
-        with write_lock:
+        return client.payload(messages)
+
+    with open(store_path, "a", encoding="utf-8") as store_handle:
+
+        def done(cell, raw, status, attempts):
+            item, _, lang = cell
+            text = postprocess_answer(raw, cfg.cut_at_newline) if status == STATUS_OK else ""
             append_answer_record(store_handle, lang, item.id, raw, text, status, attempts)
-        return lang, item.id, status
-
-    cells_left = iter(pending)
-    take_lock = threading.Lock()
-    stop = threading.Event()
-    # at most concurrency + 1 cells are taken and not yet reported, so a run
-    # that `progress` stops at its k-th report has stored at most
-    # k + concurrency cells
-    slots = threading.Semaphore(cfg.concurrency + 1)
-    results = queue.SimpleQueue()  # (lang, item_id, status), an exception, or None: loop ended
-
-    def request_loop():
-        try:
-            while True:
-                slots.acquire()
-                with take_lock:
-                    cell = None if stop.is_set() else next(cells_left, None)
-                if cell is None:
-                    break
-                results.put(fetch_cell(*cell))
-        except BaseException as exc:
-            results.put(exc)
-        results.put(None)
-
-    loops = []
-    try:
-        for k in range(min(cfg.concurrency, len(pending))):
-            loop = threading.Thread(target=request_loop, name=f"xlconsist-collect-{k}")
-            loop.start()
-            loops.append(loop)
-        running = len(loops)
-        while running:
-            outcome = results.get()
-            if outcome is None:
-                running -= 1
-                continue
-            if isinstance(outcome, BaseException):
-                raise outcome
             if progress is not None:
-                progress(*outcome)
-            slots.release()
-    finally:
-        with take_lock:
-            stop.set()
-        slots.release(cfg.concurrency)  # wake every loop waiting for a slot
-        for loop in loops:
-            loop.join()
-        store_handle.close()
-        client.transport.close()
+                progress(lang, item.id, status)
+
+        loop = _CellLoop(client, pending, payload_for, done)
+        try:
+            loop.run()
+        finally:
+            client.transport.close()
 
     answer_set = load_answers(store_path)
     manifest = RunManifest(
@@ -503,4 +651,5 @@ def collect_answers(
         finished_at=_now(),
     )
     manifest.save(manifest_path)
+    loop.stats.save(str(store_path) + ".stats.json")
     return answer_set, manifest

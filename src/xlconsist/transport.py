@@ -2,13 +2,23 @@
 
 One `Transport` per client. The endpoint URL is parsed, and the proxy
 resolved from the environment (`HTTP_PROXY`, `HTTPS_PROXY`, `NO_PROXY`),
-once. Each thread keeps one connection and reuses it while the server
-keeps it alive. A request that fails on a reused connection before a
-status line arrives is resent once on a fresh connection: the server
-most likely closed it while it sat idle. TLS verifies certificates and
-host names against the system trust store (OpenSSL honours
-`SSL_CERT_FILE`). Retries, backoff and status policy stay with the
-caller; `post` returns the status and body of one exchange.
+once. Every connection comes from `connect`, so each goes to the same
+target, through the same proxy or `CONNECT` tunnel, with the same
+headers. Two ways to use them:
+
+- `post` is one blocking exchange. Each thread keeps one connection and
+  reuses it while the server keeps it alive (the embedding client).
+- `send` writes a request on a connection the caller holds and returns
+  at once; once the connection's socket is readable, `receive` reads the
+  answer. One thread can so keep a request in flight on each of many
+  connections (`collect_answers`).
+
+A request that fails on a reused connection before a status line arrives
+is resent once on a fresh connection: the server most likely closed it
+while it sat idle. TLS verifies certificates and host names against the
+system trust store (OpenSSL honours `SSL_CERT_FILE`). Retries, backoff
+and status policy stay with the caller; each exchange returns the status
+and body of one response.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ import os
 import ssl
 import threading
 import urllib.request
+from dataclasses import dataclass
 from urllib.parse import unquote, urlsplit
 
 from .errors import XlconsistError
@@ -35,7 +46,7 @@ def _basic(username: str, password: str) -> str:
 
 
 class Transport:
-    """POSTs JSON to one endpoint; one keep-alive connection per thread."""
+    """POSTs JSON to one endpoint over keep-alive connections."""
 
     def __init__(self, endpoint: str, timeout: float, token_env: str):
         url = urlsplit(endpoint)
@@ -70,52 +81,103 @@ class Transport:
         self._lock = threading.Lock()
         self._connections: list[http.client.HTTPConnection] = []
 
+    def connect(self) -> http.client.HTTPConnection:
+        """A new connection, opened by its first request; `close` closes it."""
+        if self._context:
+            conn = http.client.HTTPSConnection(
+                *self._address, timeout=self.timeout, context=self._context
+            )
+        else:
+            conn = http.client.HTTPConnection(*self._address, timeout=self.timeout)
+        if self._tunnel:
+            conn.set_tunnel(*self._tunnel)
+        with self._lock:
+            self._connections.append(conn)
+        return conn
+
     def _connection(self) -> http.client.HTTPConnection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            if self._context:
-                conn = http.client.HTTPSConnection(
-                    *self._address, timeout=self.timeout, context=self._context
-                )
-            else:
-                conn = http.client.HTTPConnection(*self._address, timeout=self.timeout)
-            if self._tunnel:
-                conn.set_tunnel(*self._tunnel)
-            self._local.conn = conn
-            with self._lock:
-                self._connections.append(conn)
+            conn = self._local.conn = self.connect()
         return conn
 
     def post(self, payload) -> tuple[int, bytes]:
-        """One exchange: (HTTP status, response body). Raises OSError or
-        http.client.HTTPException when no complete response arrives."""
+        """One exchange on this thread's connection: (HTTP status, response
+        body). Raises OSError or http.client.HTTPException when no complete
+        response arrives."""
+        request = self.send(self._connection(), payload)
+        while True:
+            answer = self.receive(request)
+            if answer is not None:
+                return answer
+
+    def send(self, conn: http.client.HTTPConnection, payload) -> Request:
+        """Write one POST on `conn`, which must have no request in flight,
+        without waiting for its answer. Raises OSError or
+        http.client.HTTPException, with `conn` closed, when it cannot be
+        written; a later request on `conn` opens a fresh connection."""
         body = json.dumps(payload, allow_nan=False).encode()
         headers = dict(self._headers)
         token = os.environ.get(self.token_env)
         if token:
             headers["Authorization"] = f"Bearer {token}"
-        conn = self._connection()
+        request = Request(conn, body, headers, conn.sock is not None)
         try:
-            response = self._send(conn, body, headers)
+            conn.request("POST", self._target, body, headers)
+        except _STALE_ERRORS:
+            if not request.may_resend:
+                conn.close()
+                raise
+            self._resend(request)
+        except BaseException:
+            conn.close()
+            raise
+        return request
+
+    def receive(self, request: Request) -> tuple[int, bytes] | None:
+        """(HTTP status, response body) of `request`, blocking until the
+        whole response is read. None when the reused connection turned out
+        closed: the request has been resent on a fresh connection
+        (`request.conn.sock` is a new socket), and its answer is awaited
+        again. Raises OSError or http.client.HTTPException, with the
+        connection closed, when no complete response arrives."""
+        conn = request.conn
+        try:
+            response = conn.getresponse()
             return response.status, response.read()
+        except _STALE_ERRORS:
+            if not request.may_resend:
+                conn.close()
+                raise
         except BaseException:
             conn.close()  # the next request opens a fresh one
             raise
+        self._resend(request)
+        return None
 
-    def _send(self, conn, body: bytes, headers: dict) -> http.client.HTTPResponse:
-        reused = conn.sock is not None
+    def _resend(self, request: Request) -> None:
+        request.may_resend = False
+        request.resent = True
+        request.conn.close()
         try:
-            conn.request("POST", self._target, body, headers)
-            return conn.getresponse()
-        except _STALE_ERRORS:
-            if not reused:
-                raise
-            conn.close()
-        conn.request("POST", self._target, body, headers)
-        return conn.getresponse()
+            request.conn.request("POST", self._target, request.body, request.headers)
+        except BaseException:
+            request.conn.close()
+            raise
 
     def close(self) -> None:
-        """Close every thread's connection; a later post reopens its own."""
+        """Close every connection; a later post or send reopens its own."""
         with self._lock:
             for conn in self._connections:
                 conn.close()
+
+
+@dataclass(eq=False, slots=True)
+class Request:
+    """A POST written to `conn` whose answer has not been read yet."""
+
+    conn: http.client.HTTPConnection
+    body: bytes
+    headers: dict
+    may_resend: bool  # written on a reused connection and not resent yet
+    resent: bool = False

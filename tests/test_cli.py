@@ -230,6 +230,17 @@ def test_collect_help_lists_documented_flags(runner):
         assert flag in result.output, flag
 
 
+def test_collect_refuses_the_custom_variant(runner, tmp_path):
+    # `custom` was an alias of p1; it is no longer a variant
+    result = runner.invoke(cli, [
+        "collect", "--dataset", str(bundled_fixture_path()), "--out", str(tmp_path / "a.jsonl"),
+        "--endpoint", "http://127.0.0.1:9/v1/chat/completions", "--variant", "custom",
+    ])
+    assert result.exit_code == 2
+    assert "custom" in result.output
+    assert not (tmp_path / "a.jsonl").exists()
+
+
 def test_embed_and_score_help_list_endpoint(runner):
     for command in ("embed", "score"):
         result = runner.invoke(cli, [command, "--help"])
