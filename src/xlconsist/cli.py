@@ -238,7 +238,10 @@ def embed(config_path, dataset_path, answers_path, cache_path, provider_kind, en
     )
     with VectorCache(cache_path) as cache:
         embedder = Embedder(provider, cache)
-        embedder.embed_batch(texts)
+        try:
+            embedder.embed_batch(texts)
+        finally:
+            embedder.close()
         click.echo(
             f"cache {cache_path}: {len(cache)} vectors "
             f"({embedder.fetched_texts} newly fetched)"
@@ -319,6 +322,7 @@ def score(config_path, dataset_path, answers_path, ground_truth, out_dir, cache_
     except (XlconsistError, ValueError) as exc:
         raise click.ClickException(str(exc))
     finally:
+        embedder.close()
         if cache is not None:
             cache.close()
 

@@ -7,8 +7,8 @@ requests in flight, one per keep-alive connection of one
 `transport.Transport`, and waits on a selector for whichever answer is
 ready. Rate-limit waits, jittered backoff and request deadlines are
 timers in that loop, so none of them holds up an answer that has
-arrived; `ChatClient` holds the status and retry policy, which its
-blocking `complete` shares. Completed cells are appended to the answers
+arrived; the status and retry policy is `transport.RetryPolicy`, which
+the embedding client shares. Completed cells are appended to the answers
 store immediately, so an interrupted run resumes by filling only the
 missing cells; a store collected with another run id, variant, seed,
 model, dataset or shot count is refused. Raw completions are stored
@@ -43,7 +43,7 @@ from .answers import (
 )
 from .dataset import Dataset, QAItem
 from .errors import AuthenticationError, ParaphraseMissingError, ProviderError, XlconsistError
-from .transport import Request, Transport
+from .transport import Request, Retryable, RetryPolicy, Transport
 
 log = logging.getLogger(__name__)
 
@@ -186,88 +186,19 @@ class TokenBucket:
         self.tokens = self.capacity
         self.updated = time.monotonic()
 
-    def reserve(self) -> float:
-        """Take a token; returns the seconds until it is due, 0 when one was
-        in the bucket. Tokens taken ahead are paid back as the bucket refills."""
+    def reserve(self, now: float) -> float:
+        """Take a token at monotonic time `now`; returns the seconds until it
+        is due, 0 when one was in the bucket. Tokens taken ahead are paid
+        back as the bucket refills."""
         if self.rate is None:
             return 0.0
-        now = time.monotonic()
         self.tokens = min(self.capacity, self.tokens + (now - self.updated) * self.rate) - 1.0
         self.updated = now
         return max(0.0, -self.tokens / self.rate)
 
-    def acquire(self) -> None:
-        time.sleep(self.reserve())
 
-
-class _Retryable(ProviderError):
-    """A response after which another attempt may succeed."""
-
-
-# what ends one attempt of a request and leaves the next one to try again
-_RETRY_ERRORS = (OSError, http.client.HTTPException, _Retryable)
-
-
-class ChatClient:
-    """chat-completions-over-HTTP with retries and jittered backoff.
-
-    `complete` sends one cell and blocks through its retries. The same
-    policy serves `collect_answers`' loop: `completion` reads a response,
-    `backoff` spaces the attempts and `exhausted` is the error of a cell
-    whose attempts ran out."""
-
-    RETRYABLE = {429, 500, 502, 503, 504}
-
-    def __init__(self, cfg: CollectionConfig):
-        self.cfg = cfg
-        self.transport = Transport(cfg.endpoint, cfg.timeout, cfg.token_env)
-        self._jitter = random.Random(cfg.exemplar_seed)
-
-    def payload(self, messages: list[dict]) -> dict:
-        return {
-            "model": self.cfg.model,
-            "messages": messages,
-            "temperature": self.cfg.temperature,
-            **self.cfg.decoding,
-        }
-
-    def completion(self, status: int, body: bytes) -> str:
-        """The completion text of one response. Raises AuthenticationError
-        on 401 and 403, `_Retryable` on a retryable status or a malformed
-        body, and ProviderError on any other status."""
-        if status in (401, 403):
-            raise AuthenticationError(f"endpoint rejected credentials ({status})")
-        if status in self.RETRYABLE:
-            raise _Retryable(f"HTTP {status}")
-        if status != 200:
-            raise ProviderError(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
-        try:
-            return str(json.loads(body)["choices"][0]["message"]["content"])
-        except (ValueError, KeyError, IndexError) as exc:
-            raise _Retryable(f"malformed completion response: {exc}") from None
-
-    def backoff(self, attempt: int) -> float:
-        """Seconds to wait before attempt number `attempt` (2 or more)."""
-        base = self.cfg.backoff_base * 2 ** (attempt - 2)
-        return base * (0.5 + self._jitter.random())
-
-    def exhausted(self, last_error: Exception | None) -> ProviderError:
-        return ProviderError(
-            f"request failed after {self.cfg.max_attempts} attempts: {last_error}"
-        )
-
-    def complete(self, messages: list[dict]) -> tuple[str, int]:
-        """Returns (completion text, attempts used); raises after retries."""
-        payload = self.payload(messages)
-        last_error: Exception | None = None
-        for attempt in range(1, self.cfg.max_attempts + 1):
-            if attempt > 1:
-                time.sleep(self.backoff(attempt))
-            try:
-                return self.completion(*self.transport.post(payload)), attempt
-            except _RETRY_ERRORS as exc:
-                last_error = exc
-        raise self.exhausted(last_error)
+def _completion_text(document) -> str:
+    return str(document["choices"][0]["message"]["content"])
 
 
 @dataclass
@@ -396,7 +327,7 @@ class _Slot:
 
 class _CellLoop:
     """Sends cells from the calling thread with up to `concurrency` requests
-    in flight, one per connection, under `ChatClient`'s retry policy.
+    in flight, one per connection of `transport`, under one RetryPolicy.
 
     It waits on a selector for whichever connection has its answer ready;
     its timeout is the earliest rate-limit wait, backoff or request
@@ -404,16 +335,17 @@ class _CellLoop:
     finished cell goes to `done(cell, raw, status, attempts)`, and then its
     slot sends the next cell on the same connection."""
 
-    def __init__(self, client: ChatClient, cells: list, payload_for, done):
-        self.client = client
-        self.cfg = client.cfg
+    def __init__(self, transport: Transport, cfg: CollectionConfig, cells: list, payload_for, done):
+        self.transport = transport
+        self.cfg = cfg
+        self.policy = RetryPolicy(
+            "chat endpoint", cfg.max_attempts, cfg.backoff_base, cfg.exemplar_seed
+        )
         self.cells = iter(cells)
-        self.slots = [
-            _Slot(client.transport.connect()) for _ in range(min(self.cfg.concurrency, len(cells)))
-        ]
+        self.slots = [_Slot(transport.connect()) for _ in range(min(cfg.concurrency, len(cells)))]
         self.payload_for = payload_for
         self.done = done
-        self.bucket = TokenBucket(self.cfg.rate_limit_rps, burst=float(self.cfg.concurrency))
+        self.bucket = TokenBucket(cfg.rate_limit_rps, burst=float(cfg.concurrency))
         self.stats = _CollectStats()
         self.selector = selectors.DefaultSelector()
 
@@ -442,7 +374,7 @@ class _CellLoop:
         if slot.cell is not None:
             slot.payload = self.payload_for(slot.cell)
             slot.attempt = 0
-            slot.wake = now + self.bucket.reserve()
+            slot.wake = now + self.bucket.reserve(now)
 
     def _send(self, slot: _Slot) -> None:
         slot.attempt += 1
@@ -450,7 +382,7 @@ class _CellLoop:
         if slot.attempt == 1:
             self.stats.cells_sent += 1
         try:
-            slot.request = self.client.transport.send(slot.conn, slot.payload)
+            slot.request = self.transport.send(slot.conn, slot.payload)
         except (OSError, http.client.HTTPException) as exc:
             self._retry(slot, exc, time.monotonic())
             return
@@ -467,7 +399,7 @@ class _CellLoop:
     def _receive(self, slot: _Slot) -> None:
         self.selector.unregister(slot.conn.sock)
         try:
-            answer = self.client.transport.receive(slot.request)
+            answer = self.transport.receive(slot.request)
         except (OSError, http.client.HTTPException) as exc:
             self._retry(slot, exc, time.monotonic())
             return
@@ -481,8 +413,8 @@ class _CellLoop:
         self.stats.status_counts[status] += 1
         self.stats.latencies_ms.append((now - slot.sent) * 1000.0)
         try:
-            raw = self.client.completion(status, body)
-        except _Retryable as exc:
+            raw = self.policy.read(status, body, _completion_text)
+        except Retryable as exc:
             self._retry(slot, exc, now)
         except AuthenticationError:
             raise  # fatal: no point continuing the run
@@ -493,18 +425,18 @@ class _CellLoop:
 
     def _retry(self, slot: _Slot, error: Exception, now: float) -> None:
         slot.request = None
-        if not isinstance(error, _Retryable):
+        if not isinstance(error, Retryable):
             self.stats.no_response += 1
-        if slot.attempt < self.cfg.max_attempts:
-            slot.wake = now + self.client.backoff(slot.attempt + 1)
+        if slot.attempt < self.policy.max_attempts:
+            slot.wake = now + self.policy.backoff(slot.attempt + 1)
         else:
-            self._fail(slot, self.client.exhausted(error))
+            self._fail(slot, self.policy.exhausted(error))
 
     def _fail(self, slot: _Slot, error: ProviderError) -> None:
         item, _, lang = slot.cell
-        log.warning("cell %s/%s failed after retries: %s", lang, item.id, error)
+        log.warning("cell %s/%s failed at attempt %d: %s", lang, item.id, slot.attempt, error)
         self.stats.failed_cells += 1
-        self._finish(slot, "", STATUS_FAILED, self.cfg.max_attempts)
+        self._finish(slot, "", STATUS_FAILED, slot.attempt)
 
     def _finish(self, slot: _Slot, raw: str, status: str, attempts: int) -> None:
         self.done(slot.cell, raw, status, attempts)
@@ -556,7 +488,7 @@ def collect_answers(
         for domain in domains
     }
 
-    client = ChatClient(cfg)
+    transport = Transport(cfg.endpoint, cfg.timeout, cfg.token_env)
     done: dict[tuple[str, str], str] = {}
     manifest_path = Path(str(store_path) + ".manifest.json")
     started = _now()
@@ -618,7 +550,12 @@ def collect_answers(
         messages = build_messages(
             item, lang, exemplars_by_domain[domain], cfg.prompt_variant, templates, paraphrases
         )
-        return client.payload(messages)
+        return {
+            "model": cfg.model,
+            "messages": messages,
+            "temperature": cfg.temperature,
+            **cfg.decoding,
+        }
 
     with open(store_path, "a", encoding="utf-8") as store_handle:
 
@@ -629,11 +566,11 @@ def collect_answers(
             if progress is not None:
                 progress(lang, item.id, status)
 
-        loop = _CellLoop(client, pending, payload_for, done)
+        loop = _CellLoop(transport, cfg, pending, payload_for, done)
         try:
             loop.run()
         finally:
-            client.transport.close()
+            transport.close()
 
     answer_set = load_answers(store_path)
     manifest = RunManifest(

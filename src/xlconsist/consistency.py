@@ -161,14 +161,10 @@ class PairMatrix:
         return cls(languages, values)
 
 
-def _select_items(dataset: Dataset, domains=None, include_timeliness=False):
-    """(QA items, timeliness items) that xSC and xAC score: the QA items of
-    `domains` (all when None), then the timeliness items when included."""
-    qa = dataset.qa_items
-    if domains is not None:
-        wanted = set(domains)
-        qa = tuple(item for item in qa if item.domain in wanted)
-    return qa, dataset.timeliness_items if include_timeliness else ()
+def _select_items(dataset: Dataset, include_timeliness=False):
+    """(QA items, timeliness items) that xSC and xAC score: every QA item,
+    then the timeliness items when included."""
+    return dataset.qa_items, dataset.timeliness_items if include_timeliness else ()
 
 
 def _item_ids(*groups) -> list[str]:
@@ -207,7 +203,6 @@ def xsc(
     dataset: Dataset,
     embedder,
     *,
-    domains=None,
     include_timeliness: bool = False,
 ) -> MetricResult:
     """Cross-lingual semantic consistency: mean pairwise answer cosine.
@@ -216,7 +211,7 @@ def xsc(
     languages = dataset.languages
     if len(languages) < 2:
         raise ValueError("xsc needs at least 2 languages")
-    item_ids = _item_ids(*_select_items(dataset, domains, include_timeliness))
+    item_ids = _item_ids(*_select_items(dataset, include_timeliness))
     if not item_ids:
         raise ValueError("no items selected for xsc")
     columns = answers.columns(languages, item_ids)
@@ -306,11 +301,10 @@ def accuracy_vectors(
     dataset: Dataset,
     chrf_cfg: ChrfConfig = DEFAULT_CHRF,
     *,
-    domains=None,
     include_timeliness: bool = False,
 ) -> dict[str, np.ndarray]:
     """Per-language chrF of each answer against its own-language ground truth."""
-    qa, timeliness = _select_items(dataset, domains, include_timeliness)
+    qa, timeliness = _select_items(dataset, include_timeliness)
     columns = answers.columns(dataset.languages, _item_ids(qa, timeliness))
     jobs = _accuracy_jobs(dataset.languages, qa, timeliness, columns)
     return _accuracy_vectors(dataset, [_chrf_job(job, chrf_cfg) for job in jobs])
@@ -343,7 +337,6 @@ def xac(
     dataset: Dataset,
     chrf_cfg: ChrfConfig = DEFAULT_CHRF,
     *,
-    domains=None,
     include_timeliness: bool = False,
 ) -> MetricResult:
     """Cross-lingual accuracy consistency: Spearman of accuracy vectors.
@@ -351,7 +344,7 @@ def xac(
     Degenerate pairs (a constant accuracy vector on either side) score 0
     and stay in the denominator; their count is carried on the matrix.
     """
-    qa, timeliness = _select_items(dataset, domains, include_timeliness)
+    qa, timeliness = _select_items(dataset, include_timeliness)
     columns = _xac_columns(answers, dataset, qa, timeliness)
     jobs = _accuracy_jobs(dataset.languages, qa, timeliness, columns)
     scores = [_chrf_job(job, chrf_cfg) for job in jobs]

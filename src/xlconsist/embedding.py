@@ -24,8 +24,6 @@ truncated final record, so a crashed run never loses committed vectors.
 from __future__ import annotations
 
 import hashlib
-import http.client
-import json
 import mmap
 import struct
 import threading
@@ -37,8 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AuthenticationError, CacheMissError, DimensionMismatchError, ProviderError
-from .transport import Transport
+from .errors import CacheMissError, DimensionMismatchError, ProviderError
+from .transport import RETRY_ERRORS, RetryPolicy, Transport
 
 _FILE_MAGIC = b"XLCVEC1\n"
 _FOOTER_MAGIC = b"XLCFTR1\n"
@@ -284,36 +282,27 @@ class HTTPProvider:
     def __init__(self, cfg: EmbeddingProviderConfig):
         self.cfg = cfg
         self.transport = Transport(cfg.endpoint, cfg.timeout, cfg.token_env)
+        self.policy = RetryPolicy("embedding endpoint", cfg.max_attempts, cfg.backoff_base)
 
     def fetch(self, texts: list[str]) -> list[np.ndarray]:
         last_error: Exception | None = None
-        for attempt in range(self.cfg.max_attempts):
-            if attempt:
-                time.sleep(self.cfg.backoff_base * 2 ** (attempt - 1))
+        for attempt in range(1, self.policy.max_attempts + 1):
+            if attempt > 1:
+                time.sleep(self.policy.backoff(attempt))
             try:
-                status, body = self.transport.post({"texts": texts})
-            except (OSError, http.client.HTTPException) as exc:
+                vectors = self.policy.read(*self.transport.post({"texts": texts}), _vectors)
+                break
+            except RETRY_ERRORS as exc:
                 last_error = exc
-                continue
-            if status in (401, 403):
-                raise AuthenticationError(f"embedding endpoint rejected credentials ({status})")
-            if status != 200:
-                preview = body.decode("utf-8", "replace")[:200]
-                last_error = ProviderError(f"HTTP {status}: {preview}")
-                continue
-            try:
-                vectors = json.loads(body)["vectors"]
-            except (ValueError, KeyError) as exc:
-                last_error = ProviderError(f"malformed embedding response: {exc}")
-                continue
-            if len(vectors) != len(texts):
-                raise ProviderError(
-                    f"endpoint returned {len(vectors)} vectors for {len(texts)} texts"
-                )
-            return [np.asarray(v, dtype=np.float64) for v in vectors]
-        raise ProviderError(
-            f"embedding endpoint unreachable after {self.cfg.max_attempts} attempts: {last_error}"
-        )
+        else:
+            raise self.policy.exhausted(last_error)
+        if len(vectors) != len(texts):
+            raise ProviderError(f"endpoint returned {len(vectors)} vectors for {len(texts)} texts")
+        return [np.asarray(v, dtype=np.float64) for v in vectors]
+
+
+def _vectors(document) -> list:
+    return document["vectors"]
 
 
 def make_provider(cfg: EmbeddingProviderConfig):
@@ -374,6 +363,11 @@ class Embedder:
 
     def describe(self) -> dict:
         return self.config.describe()
+
+    def close(self) -> None:
+        """Close the provider's connections; the cache is the caller's to close."""
+        if isinstance(self._provider, HTTPProvider):
+            self._provider.transport.close()
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         """One row per input text, in order, shape (len(texts), dims)."""

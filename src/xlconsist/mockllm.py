@@ -88,6 +88,12 @@ class MockLLMServer:
                         _shut(self.connection)
                     server._open.add(self.connection)
 
+            def handle(self):
+                try:
+                    super().handle()
+                except ConnectionResetError:
+                    pass  # the client reset the connection: it has ended
+
             def finish(self):
                 with server._stats_lock:
                     server._open.discard(self.connection)

@@ -1,4 +1,5 @@
-"""JSON POST over `http.client`, shared by the chat and embedding clients.
+"""JSON POST over `http.client`, and the one status and retry policy of
+the chat and embedding clients.
 
 One `Transport` per client. The endpoint URL is parsed, and the proxy
 resolved from the environment (`HTTP_PROXY`, `HTTPS_PROXY`, `NO_PROXY`),
@@ -16,9 +17,14 @@ headers. Two ways to use them:
 A request that fails on a reused connection before a status line arrives
 is resent once on a fresh connection: the server most likely closed it
 while it sat idle. TLS verifies certificates and host names against the
-system trust store (OpenSSL honours `SSL_CERT_FILE`). Retries, backoff
-and status policy stay with the caller; each exchange returns the status
-and body of one response.
+system trust store (OpenSSL honours `SSL_CERT_FILE`). Each exchange
+returns the status and body of one response.
+
+`RetryPolicy` reads those responses for both clients: 401 and 403 are
+fatal, 429 and 5xx gateway statuses and an unparsable body may be
+retried after a jittered exponential backoff, and any other status fails
+at once. The callers drive the attempts: `collect_answers` from its
+selector loop, the embedding client with a blocking sleep.
 """
 
 from __future__ import annotations
@@ -27,13 +33,14 @@ import base64
 import http.client
 import json
 import os
+import random
 import ssl
 import threading
 import urllib.request
 from dataclasses import dataclass
 from urllib.parse import unquote, urlsplit
 
-from .errors import XlconsistError
+from .errors import AuthenticationError, ProviderError, XlconsistError
 
 # what a reused connection that the server has closed raises before any
 # status line; http.client.RemoteDisconnected is a ConnectionResetError
@@ -181,3 +188,52 @@ class Request:
     headers: dict
     may_resend: bool  # written on a reused connection and not resent yet
     resent: bool = False
+
+
+# statuses after which another attempt may succeed
+RETRYABLE = frozenset({429, 500, 502, 503, 504})
+
+
+class Retryable(ProviderError):
+    """A response after which another attempt may succeed."""
+
+
+# what ends one attempt of a request and leaves the next one to try again
+RETRY_ERRORS = (OSError, http.client.HTTPException, Retryable)
+
+
+class RetryPolicy:
+    """How a client reads a response and spaces and ends its attempts."""
+
+    def __init__(self, name: str, max_attempts: int, backoff_base: float, seed: int = 0):
+        self.name = name
+        self.max_attempts = max_attempts
+        self.backoff_base = backoff_base
+        self._jitter = random.Random(seed)
+
+    def read(self, status: int, body: bytes, parse):
+        """`parse` of a 200 response's JSON document. Raises
+        AuthenticationError on 401 and 403, `Retryable` on a status in
+        RETRYABLE or a body that `parse` cannot read, and ProviderError on
+        any other status."""
+        if status in (401, 403):
+            raise AuthenticationError(f"{self.name} rejected credentials ({status})")
+        if status in RETRYABLE:
+            raise Retryable(f"HTTP {status}")
+        if status != 200:
+            raise ProviderError(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
+        try:
+            return parse(json.loads(body))
+        except (ValueError, LookupError, TypeError) as exc:
+            raise Retryable(f"malformed {self.name} response: {exc}") from None
+
+    def backoff(self, attempt: int) -> float:
+        """Seconds to wait before attempt number `attempt` (2 or more):
+        base * 2^(attempt - 2) * (0.5 + U[0, 1))."""
+        return self.backoff_base * 2 ** (attempt - 2) * (0.5 + self._jitter.random())
+
+    def exhausted(self, last_error: Exception) -> ProviderError:
+        """The error of a request whose attempts ran out."""
+        return ProviderError(
+            f"{self.name} request failed after {self.max_attempts} attempts: {last_error}"
+        )

@@ -18,14 +18,16 @@ LATENCY_FIELDS = {"latency_ms_p50", "latency_ms_p95"}
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
-    """HTTP/1.1 chat endpoint. A question in `fail` gets that many 503s
-    before its answer; a question in `silent` is read and never answered.
+    """HTTP/1.1 chat endpoint. A question in `fail` gets that many
+    `fail_status` answers (503 by default) before its answer; a question in
+    `silent` is read and never answered.
     With `close_after` set, each connection is closed after that many
     responses without saying so. Records every status it sends."""
 
     protocol_version = "HTTP/1.1"
     wbufsize = -1  # one write per response, as the mock does
     fail: dict = {}
+    fail_status = 503
     silent: frozenset = frozenset()
     close_after = 0
 
@@ -45,7 +47,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             self.release.wait(10)
             self.close_connection = True
             return
-        status = 503 if seen <= self.fail.get(question, 0) else 200
+        status = self.fail_status if seen <= self.fail.get(question, 0) else 200
         body = b""
         if status == 200:
             body = json.dumps({"choices": [{"message": {"content": f"re: {question}"}}]}).encode()
@@ -218,3 +220,23 @@ def test_stats_count_what_the_server_received(scripted_server, tmp_path):
         assert "latency_ms" not in text and "stale_resends" not in text
     assert all(record["attempts"] in (1, 2) for record in store_records(store))
     assert len(load_answers(store).answers) == 20
+
+
+def test_failed_cell_records_the_attempts_it_used(scripted_server, tmp_path, caplog):
+    """A status that is not retried ends the cell after one request, and the
+    store, the manifest and the stats file all say so."""
+    dataset = small_dataset()
+    questions = [item.questions[lang] for item in dataset.qa_items for lang in dataset.languages]
+    url, handler = scripted_server(fail={q: 1 for q in questions}, fail_status=400)
+    store = tmp_path / "a.jsonl"
+    answers, manifest = collect_answers(dataset, dataset.languages, make_cfg(url), store,
+                                        run_id="t-run")
+    assert handler.statuses == [400] * 20
+    assert set(answers.statuses.values()) == {STATUS_FAILED}
+    assert [record["attempts"] for record in store_records(store)] == [1] * 20
+    assert {entry["attempts"] for entry in manifest.statuses.values()} == {1}
+    stats = read_stats(store)
+    assert (stats["attempts"], stats["retries"], stats["failed_cells"]) == (20, 0, 20)
+    assert stats["status_counts"] == {"400": 20}
+    warnings = [record.getMessage() for record in caplog.records]
+    assert len(warnings) == 20 and all("HTTP 400" in w and "retr" not in w for w in warnings)

@@ -130,12 +130,14 @@ def test_config_validation():
 
 def test_token_bucket_paces_requests():
     bucket = TokenBucket(rate=200.0, burst=1.0)
-    start = time.monotonic()
-    for _ in range(5):
-        bucket.acquire()
-    elapsed = time.monotonic() - start
-    assert elapsed >= 4 / 200.0 * 0.5  # roughly rate-limited, generous slack
-    TokenBucket(rate=None).acquire()  # no-op path
+    now = bucket.updated
+    # one token in the bucket, then one every 5 ms, taken ahead
+    waits = [bucket.reserve(now) for _ in range(5)]
+    assert waits == pytest.approx([0.0, 0.005, 0.010, 0.015, 0.020])
+    # 40 ms later the four tokens taken ahead are paid back and one is due
+    assert bucket.reserve(now + 0.040) == 0.0
+    assert bucket.reserve(now + 0.040) == pytest.approx(0.005)
+    assert TokenBucket(rate=None).reserve(now) == 0.0  # no-op path
 
 
 # -- end-to-end collection against the mock endpoint ----------------------------

@@ -2,16 +2,23 @@
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from click.testing import CliRunner
 
-from xlconsist.answers import AnswerSet, load_answers, write_answer_header
+from xlconsist.answers import (
+    AnswerSet,
+    append_answer_record,
+    ground_truth_answers,
+    load_answers,
+    write_answer_header,
+)
 from xlconsist.cli import cli
 from xlconsist.consistency import ConsistencyReport
 from xlconsist.errors import DatasetFormatError
-from xlconsist.fixtures import bundled_fixture_path, mini_fixture_answers
+from xlconsist.fixtures import bundled_fixture_path, mini_fixture, mini_fixture_answers
 from xlconsist.mockllm import MockLLMServer
 
 
@@ -106,6 +113,57 @@ def test_http_embedding_provider_through_cli(tmp_path):
         assert report.provenance["provider"]["kind"] == "http"
         assert report.provenance["provider"]["endpoint"] == embed_url
         assert 0.0 <= abs(report.xsc) <= 1.0
+    finally:
+        embed_server.shutdown()
+        embed_server.server_close()
+
+
+class _KeepAliveEmbedHandler(_HashEmbedHandler):
+    """HTTP/1.1: a connection stays open until the client closes it."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        with self.lock:
+            self.connections.append(self.client_address)
+            self.open.add(self.client_address)
+
+    def finish(self):
+        with self.lock:
+            self.open.discard(self.client_address)
+        super().finish()
+
+
+@pytest.mark.parametrize("command", ["embed", "score"])
+def test_http_embedding_connections_end_with_the_command(tmp_path, command):
+    handler = type("KeepAlive", (_KeepAliveEmbedHandler,), {
+        "lock": threading.Lock(), "connections": [], "open": set(),
+    })
+    embed_server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=embed_server.serve_forever, daemon=True).start()
+    answers = tmp_path / "a.jsonl"
+    truth = ground_truth_answers(mini_fixture())
+    write_answer_header(answers, truth)
+    with open(answers, "a", encoding="utf-8") as handle:
+        for (lang, item_id), text in truth.answers.items():
+            append_answer_record(handle, lang, item_id, text, text, "ok", 1)
+    args = [
+        command, "--dataset", str(bundled_fixture_path()), "--answers", str(answers),
+        "--cache", str(tmp_path / "v.bin"), "--provider-kind", "http", "--dims", "24",
+        "--endpoint", f"http://127.0.0.1:{embed_server.server_address[1]}/embed",
+    ]
+    if command == "score":
+        args += ["--out-dir", str(tmp_path / "out")]
+    try:
+        result = CliRunner().invoke(cli, args)
+        assert result.exit_code == 0, result.output
+        assert handler.connections
+        # the server's side ends once it reads the client's close
+        deadline = time.monotonic() + 5.0
+        while handler.open and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert handler.open == set()
     finally:
         embed_server.shutdown()
         embed_server.server_close()

@@ -15,7 +15,7 @@ import pytest
 
 import xlconsist
 from xlconsist.answers import STATUS_FAILED, STATUS_OK
-from xlconsist.collection import ChatClient, CollectionConfig, collect_answers
+from xlconsist.collection import CollectionConfig, collect_answers
 from xlconsist.fixtures import mini_fixture, mini_fixture_answers
 from xlconsist.mockllm import MockLLMServer
 from xlconsist.transport import Transport
@@ -115,16 +115,17 @@ def make_cfg(url, **kwargs):
     return CollectionConfig(**defaults)
 
 
-def test_keep_alive_reuses_one_connection(clean_env, recording_server):
+def test_keep_alive_reuses_one_connection(clean_env, recording_server, tmp_path):
     port, handler = recording_server()
-    client = ChatClient(make_cfg(f"http://127.0.0.1:{port}/v1/chat/completions"))
-    try:
-        for i in range(50):
-            text, attempts = client.complete([{"role": "user", "content": f"q{i}"}])
-            assert (text, attempts) == (f"re: q{i}", 1)
-    finally:
-        client.transport.close()
-    assert len(handler.requests) == 50
+    dataset = mini_fixture()
+    cfg = make_cfg(f"http://127.0.0.1:{port}/v1/chat/completions", concurrency=1)
+    answers, _ = collect_answers(
+        dataset, dataset.languages, cfg, tmp_path / "a.jsonl", run_id="t-run"
+    )
+    question = dataset.qa_items[0].questions["en"]
+    assert answers.answer("en", dataset.qa_items[0].id) == f"re: {question}"
+    assert set(answers.attempts.values()) == {1}
+    assert len(handler.requests) == len(answers.answers) == 84
     assert len(handler.connections) == 1
 
 
