@@ -72,14 +72,29 @@ def _require_file(path, what: str) -> str:
     return str(path)
 
 
+def _load_dataset(path, languages, config):
+    """The dataset at `path`, cut to the --languages (or config) subset."""
+    try:
+        dataset = load_dataset(path)
+        subset = _pick(languages, config, "languages")
+        if isinstance(subset, str):
+            subset = [code.strip() for code in subset.split(",") if code.strip()]
+        return dataset.subset(subset) if subset else dataset
+    except XlconsistError as exc:
+        raise click.ClickException(str(exc))
+
+
 def _provider_config(config, kind, endpoint, dims, batch_size, seed) -> EmbeddingProviderConfig:
-    return EmbeddingProviderConfig(
-        kind=_pick(kind, config, "provider", "kind", default="mock"),
-        endpoint=_pick(endpoint, config, "provider", "endpoint"),
-        expected_dims=int(_pick(dims, config, "provider", "expected_dims", default=32)),
-        batch_size=int(_pick(batch_size, config, "provider", "batch_size", default=64)),
-        mock_seed=seed,
-    )
+    try:
+        return EmbeddingProviderConfig(
+            kind=_pick(kind, config, "provider", "kind", default="mock"),
+            endpoint=_pick(endpoint, config, "provider", "endpoint"),
+            expected_dims=int(_pick(dims, config, "provider", "expected_dims", default=32)),
+            batch_size=int(_pick(batch_size, config, "provider", "batch_size", default=64)),
+            mock_seed=seed,
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _chrf_config(config) -> ChrfConfig:
@@ -143,31 +158,26 @@ def collect(config_path, dataset_path, store_path, endpoint, model, shots, seed,
     if not store_path:
         raise click.UsageError("need --out (or a config providing answers:)")
 
-    try:
-        dataset = load_dataset(dataset_path)
-        subset = _pick(languages, config, "languages")
-        if isinstance(subset, str):
-            subset = [code.strip() for code in subset.split(",") if code.strip()]
-        if subset:
-            dataset = dataset.subset(subset)
-    except XlconsistError as exc:
-        raise click.ClickException(str(exc))
+    dataset = _load_dataset(dataset_path, languages, config)
 
-    cfg = CollectionConfig(
-        endpoint=_pick(endpoint, config, "collection", "endpoint"),
-        model=_pick(model, config, "collection", "model", default="unknown"),
-        shots=int(_pick(shots, config, "collection", "shots", default=5)),
-        exemplar_seed=int(_pick(seed, config, "seed", default=0)),
-        prompt_variant=_pick(variant, config, "collection", "variant", default="p1"),
-        temperature=float(_pick(None, config, "collection", "temperature", default=0.0)),
-        decoding=dict(_pick(None, config, "collection", "decoding", default={})),
-        concurrency=int(_pick(concurrency, config, "collection", "concurrency", default=4)),
-        rate_limit_rps=_pick(rate_limit, config, "collection", "rate_limit_rps"),
-        max_attempts=int(_pick(None, config, "collection", "max_attempts", default=3)),
-        timeout=float(_pick(None, config, "collection", "timeout", default=60.0)),
-        token_env=_pick(None, config, "collection", "token_env", default="XLCONSIST_API_KEY"),
-        cut_at_newline=bool(_pick(None, config, "collection", "cut_at_newline", default=True)),
-    )
+    try:
+        cfg = CollectionConfig(
+            endpoint=_pick(endpoint, config, "collection", "endpoint"),
+            model=_pick(model, config, "collection", "model", default="unknown"),
+            shots=int(_pick(shots, config, "collection", "shots", default=5)),
+            exemplar_seed=int(_pick(seed, config, "seed", default=0)),
+            prompt_variant=_pick(variant, config, "collection", "variant", default="p1"),
+            temperature=float(_pick(None, config, "collection", "temperature", default=0.0)),
+            decoding=dict(_pick(None, config, "collection", "decoding", default={})),
+            concurrency=int(_pick(concurrency, config, "collection", "concurrency", default=4)),
+            rate_limit_rps=_pick(rate_limit, config, "collection", "rate_limit_rps"),
+            max_attempts=int(_pick(None, config, "collection", "max_attempts", default=3)),
+            timeout=float(_pick(None, config, "collection", "timeout", default=60.0)),
+            token_env=_pick(None, config, "collection", "token_env", default="XLCONSIST_API_KEY"),
+            cut_at_newline=bool(_pick(None, config, "collection", "cut_at_newline", default=True)),
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     if not cfg.endpoint:
         raise click.UsageError("need --endpoint (or collection.endpoint in the config)")
 
@@ -280,15 +290,7 @@ def score(config_path, dataset_path, answers_path, ground_truth, out_dir, cache_
     if not ground_truth:
         answers_path = _require_file(answers_path, "answers store")
 
-    try:
-        dataset = load_dataset(dataset_path)
-        subset = _pick(languages, config, "languages")
-        if isinstance(subset, str):
-            subset = [code.strip() for code in subset.split(",") if code.strip()]
-        if subset:
-            dataset = dataset.subset(subset)
-    except XlconsistError as exc:
-        raise click.ClickException(str(exc))
+    dataset = _load_dataset(dataset_path, languages, config)
 
     seed = int(_pick(seed, config, "seed", default=0))
     answers = (
@@ -297,8 +299,8 @@ def score(config_path, dataset_path, answers_path, ground_truth, out_dir, cache_
         else load_answers(answers_path)
     )
 
-    cache = VectorCache(cache_path) if cache_path else None
     provider = _provider_config(config, provider_kind, endpoint, dims, batch_size, seed)
+    cache = VectorCache(cache_path) if cache_path else None
     embedder = Embedder(provider, cache)
 
     try:

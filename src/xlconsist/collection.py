@@ -75,6 +75,11 @@ class CollectionConfig:
             raise ValueError("shots must be >= 0")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        rate = self.rate_limit_rps
+        if rate is not None and not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"rate_limit_rps must be finite and > 0, got {rate}")
         if self.prompt_variant not in VARIANTS:
             raise ValueError(f"prompt_variant must be one of {VARIANTS}")
 

@@ -29,7 +29,6 @@ import struct
 import threading
 import time
 import unicodedata
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -228,6 +227,8 @@ class EmbeddingProviderConfig:
             raise ValueError("expected_dims must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.kind == "http" and not self.endpoint:
             raise ValueError("http provider needs an endpoint")
         object.__setattr__(self, "synonyms", tuple(tuple(g) for g in self.synonyms))
@@ -343,8 +344,10 @@ class _DictCache:
 class Embedder:
     """Batches texts through a provider with a write-through cache.
 
-    Concurrent embed_batch calls are safe; identical texts requested from
-    two threads are fetched once (in-flight futures de-duplicate).
+    embed_batch calls are serialised by one lock, held for the whole call,
+    so concurrent callers are safe and each text is fetched once: a later
+    caller finds it in the cache. A caller whose fetch fails raises; the
+    next caller tries those texts again.
     """
 
     config: EmbeddingProviderConfig
@@ -352,14 +355,12 @@ class Embedder:
     fetched_texts: int = 0
     _provider: object = field(init=False, repr=False)
     _lock: threading.Lock = field(init=False, repr=False)
-    _inflight: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.cache is None:
             self.cache = _DictCache()
         self._provider = make_provider(self.config)
         self._lock = threading.Lock()
-        self._inflight = {}
 
     def describe(self) -> dict:
         return self.config.describe()
@@ -376,23 +377,11 @@ class Embedder:
         normalized = [unicodedata.normalize("NFC", t) for t in texts]
         keys = [_digest(t) for t in normalized]
 
-        own: dict[str, str] = {}  # key -> text this call must fetch
-        waits: dict[str, Future] = {}
-        own_futures: dict[str, Future] = {}
         with self._lock:
+            own: dict[str, str] = {}  # key -> text this call must fetch
             for key, text in zip(keys, normalized):
-                if key in own or key in waits or key in self.cache:
-                    continue
-                pending = self._inflight.get(key)
-                if pending is not None:
-                    waits[key] = pending
-                else:
-                    future: Future = Future()
-                    self._inflight[key] = future
-                    own_futures[key] = future
+                if key not in own and key not in self.cache:
                     own[key] = text
-
-        try:
             missing = list(own.items())
             for start in range(0, len(missing), self.config.batch_size):
                 chunk = missing[start : start + self.config.batch_size]
@@ -407,22 +396,5 @@ class Embedder:
                     if not np.all(np.isfinite(vector)):
                         raise ProviderError(f"provider returned non-finite values (key {key})")
                     self.cache.put(key, vector)  # persist before anyone consumes it
-                    with self._lock:
-                        self.fetched_texts += 1
-                    own_futures[key].set_result(True)
-                    del own_futures[key]
-        except BaseException as exc:
-            with self._lock:
-                for key, future in own_futures.items():
-                    future.set_exception(exc)
-                    self._inflight.pop(key, None)
-            raise
-        finally:
-            with self._lock:
-                for key in own:
-                    self._inflight.pop(key, None)
-
-        for future in waits.values():
-            future.result()  # propagate the fetching thread's failure, if any
-
-        return self.cache.gather(keys, self.config.expected_dims)
+                    self.fetched_texts += 1
+            return self.cache.gather(keys, self.config.expected_dims)

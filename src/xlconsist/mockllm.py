@@ -4,8 +4,8 @@ Serves the wire format the collection client speaks, answering the last
 user message from a question -> answer map (defaults to the bundled
 fixture answers). Unknown questions get a stable hash-derived reply so
 runs stay deterministic. It speaks HTTP/1.1 and keeps connections alive,
-as a real chat endpoint does, so a client reuses one connection per
-thread; `stop()` shuts those connections too. Each response goes out in
+as a real chat endpoint does, so a client reuses each connection it
+opens; `stop()` shuts those connections too. Each response goes out in
 one write: sent as headers and then body, the body would wait for the
 client's delayed ACK under Nagle's algorithm, about 40 ms a request.
 

@@ -7,8 +7,9 @@ once. Every connection comes from `connect`, so each goes to the same
 target, through the same proxy or `CONNECT` tunnel, with the same
 headers. Two ways to use them:
 
-- `post` is one blocking exchange. Each thread keeps one connection and
-  reuses it while the server keeps it alive (the embedding client).
+- `post` is one blocking exchange on the transport's one connection,
+  reused while the server keeps it alive. Posts must not overlap (the
+  embedding client makes them under its lock).
 - `send` writes a request on a connection the caller holds and returns
   at once; once the connection's socket is readable, `receive` reads the
   answer. One thread can so keep a request in flight on each of many
@@ -84,7 +85,7 @@ class Transport:
                 self._target = f"http://{url.netloc.rpartition('@')[2]}{self._target}"
                 self._headers.update(auth)
 
-        self._local = threading.local()
+        self._post_conn: http.client.HTTPConnection | None = None
         self._lock = threading.Lock()
         self._connections: list[http.client.HTTPConnection] = []
 
@@ -102,17 +103,13 @@ class Transport:
             self._connections.append(conn)
         return conn
 
-    def _connection(self) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._local.conn = self.connect()
-        return conn
-
     def post(self, payload) -> tuple[int, bytes]:
-        """One exchange on this thread's connection: (HTTP status, response
-        body). Raises OSError or http.client.HTTPException when no complete
-        response arrives."""
-        request = self.send(self._connection(), payload)
+        """One exchange on the connection that the first post opens: (HTTP
+        status, response body). Not for overlapping calls. Raises OSError
+        or http.client.HTTPException when no complete response arrives."""
+        if self._post_conn is None:
+            self._post_conn = self.connect()
+        request = self.send(self._post_conn, payload)
         while True:
             answer = self.receive(request)
             if answer is not None:

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from xlconsist.answers import append_answer_record, ground_truth_answers, write_answer_header
 from xlconsist.cli import cli
 from xlconsist.consistency import ConsistencyReport
 from xlconsist.dataset import dataset_hash, load_dataset, serialize_dataset, write_dataset
@@ -268,3 +269,45 @@ def test_missing_answers_for_slice_fails_cleanly(runner, tmp_path):
     ])
     assert result.exit_code == 1
     assert "missing" in result.output
+
+
+# -- out-of-range settings are usage errors ----------------------------------------
+
+def _ground_truth_store(path):
+    truth = ground_truth_answers(mini_fixture())
+    write_answer_header(path, truth)
+    with open(path, "a", encoding="utf-8") as handle:
+        for (lang, item_id), text in truth.answers.items():
+            append_answer_record(handle, lang, item_id, text, text, "ok", 1)
+    return path
+
+
+@pytest.mark.parametrize("command, args, config, shown", [
+    ("collect", ["--concurrency", "0"], "", "concurrency must be >= 1"),
+    ("collect", ["--rate-limit", "0"], "", "rate_limit_rps must be finite and > 0, got 0.0"),
+    ("collect", ["--rate-limit", "-5"], "", "got -5.0"),
+    ("collect", [], "collection:\n  max_attempts: 0\n", "max_attempts must be >= 1, got 0"),
+    ("score", ["--dims", "0"], "", "expected_dims must be >= 1"),
+    ("embed", ["--batch-size", "0"], "", "batch_size must be >= 1"),
+], ids=["concurrency", "rate-limit-0", "rate-limit-negative", "max-attempts", "dims",
+        "batch-size"])
+def test_out_of_range_setting_exits_two_and_writes_nothing(
+    runner, tmp_path, command, args, config, shown
+):
+    config_path = tmp_path / "run.yaml"
+    config_path.write_text("schema: xlconsist-run/1\n" + config, encoding="utf-8")
+    args = [command, "--config", str(config_path), "--dataset", str(bundled_fixture_path())] + args
+    if command == "collect":
+        args += ["--out", str(tmp_path / "a.jsonl"),
+                 "--endpoint", "http://127.0.0.1:9/v1/chat/completions"]
+    elif command == "score":
+        args += ["--ground-truth", "--out-dir", str(tmp_path / "out"),
+                 "--cache", str(tmp_path / "v.bin")]
+    else:
+        answers = _ground_truth_store(tmp_path / "gt.jsonl")
+        args += ["--answers", str(answers), "--cache", str(tmp_path / "v.bin")]
+    before = set(tmp_path.iterdir())
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2, result.output
+    assert shown in result.output
+    assert set(tmp_path.iterdir()) == before

@@ -128,6 +128,18 @@ def test_config_validation():
         CollectionConfig(endpoint="http://x", model="m", prompt_variant="p9")
 
 
+@pytest.mark.parametrize("field, value, shown", [
+    ("max_attempts", 0, "max_attempts must be >= 1, got 0"),
+    ("rate_limit_rps", 0.0, "got 0.0"),
+    ("rate_limit_rps", -5.0, "got -5.0"),
+    ("rate_limit_rps", float("inf"), "got inf"),
+    ("rate_limit_rps", float("nan"), "got nan"),
+], ids=["attempts-0", "rate-0", "rate-negative", "rate-inf", "rate-nan"])
+def test_config_refuses_out_of_range_values(field, value, shown):
+    with pytest.raises(ValueError, match=shown):
+        CollectionConfig(endpoint="http://x", model="m", **{field: value})
+
+
 def test_token_bucket_paces_requests():
     bucket = TokenBucket(rate=200.0, burst=1.0)
     now = bucket.updated

@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 import unicodedata
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -174,6 +175,11 @@ def test_provider_config_validation():
         EmbeddingProviderConfig(kind="http")  # endpoint required
 
 
+def test_provider_config_refuses_zero_attempts():
+    with pytest.raises(ValueError, match="max_attempts must be >= 1, got 0"):
+        EmbeddingProviderConfig(max_attempts=0)
+
+
 # -- Embedder -----------------------------------------------------------------
 
 def test_embed_batch_orders_and_caches(tmp_path):
@@ -254,6 +260,112 @@ def test_inflight_deduplication(tmp_path):
     assert total_fetched == 1
     for r in results[1:]:
         np.testing.assert_array_equal(r, results[0])
+
+
+class _FailFirstProvider:
+    """Fails its first fetch once `gate` is set; later fetches succeed."""
+
+    def __init__(self, dims):
+        self.dims = dims
+        self.calls = []
+        self.fetching = threading.Event()
+        self.gate = threading.Event()
+
+    def fetch(self, texts):
+        self.calls.append(list(texts))
+        if len(self.calls) == 1:
+            self.fetching.set()
+            self.gate.wait(timeout=5)
+            raise ProviderError("first fetch fails")
+        return [np.full(self.dims, 1.0) for _ in texts]
+
+
+def test_caller_after_a_failed_fetch_fetches_itself(tmp_path):
+    cfg = EmbeddingProviderConfig(kind="mock", expected_dims=4)
+    provider = _FailFirstProvider(4)
+    outcomes = {}
+
+    def worker(name):
+        try:
+            outcomes[name] = embedder.embed_batch(["same text"])
+        except ProviderError as exc:
+            outcomes[name] = exc
+
+    with VectorCache(tmp_path / "c.bin") as cache:
+        embedder = Embedder(cfg, cache)
+        embedder._provider = provider
+        first = threading.Thread(target=worker, args=("first",))
+        first.start()
+        assert provider.fetching.wait(timeout=5)
+        second = threading.Thread(target=worker, args=("second",))
+        second.start()
+        time.sleep(0.2)  # the second call is waiting for the first one's fetch
+        provider.gate.set()
+        first.join()
+        second.join()
+    assert isinstance(outcomes["first"], ProviderError)
+    np.testing.assert_array_equal(outcomes["second"], np.ones((1, 4)))
+    assert provider.calls == [["same text"], ["same text"]]
+    assert embedder.fetched_texts == 1
+
+
+class _KeepAliveEmbedHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 embed endpoint that records its connections and texts."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        with self.lock:
+            self.connections.append(self.client_address)
+
+    def do_POST(self):
+        texts = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["texts"]
+        with self.lock:
+            self.texts.extend(texts)
+        body = json.dumps({"vectors": [[float(len(t))] * 3 for t in texts]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_concurrent_callers_share_one_connection(cache):
+    handler = type("KeepAlive", (_KeepAliveEmbedHandler,), {
+        "lock": threading.Lock(), "connections": [], "texts": [],
+    })
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    cfg = EmbeddingProviderConfig(
+        kind="http", endpoint=f"http://127.0.0.1:{server.server_address[1]}/embed",
+        expected_dims=3,
+    )
+    embedder = Embedder(cfg, cache)
+    start = threading.Barrier(4)
+    results = {}
+
+    def worker(k):
+        start.wait(timeout=5)
+        results[k] = embedder.embed_batch([f"text {k}", "shared"])
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        embedder.close()
+        server.shutdown()
+        server.server_close()
+    assert len(handler.connections) == 1
+    assert sorted(handler.texts) == ["shared"] + [f"text {k}" for k in range(4)]
+    assert embedder.fetched_texts == 5
+    for k in range(4):
+        np.testing.assert_array_equal(results[k][:, 0], [6.0, 6.0])
 
 
 class _EmbedHandler(BaseHTTPRequestHandler):
