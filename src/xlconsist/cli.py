@@ -34,7 +34,7 @@ from .consistency import (
     build_report,
     correlate_matrices,
 )
-from .dataset import dataset_hash, load_dataset, validate_file
+from .dataset import check_file, dataset_hash, load_dataset
 from .embedding import Embedder, EmbeddingProviderConfig, VectorCache
 from .errors import XlconsistError
 from .textmetrics import ChrfConfig
@@ -117,11 +117,10 @@ def cli():
 @click.argument("dataset", type=click.Path(exists=True, dir_okay=False))
 def validate(dataset):
     """Check a dataset file; exit 0 only if it is fully aligned."""
-    report = validate_file(dataset)
+    report, loaded = check_file(dataset)
     click.echo(report.render())
     if not report.ok:
         sys.exit(1)
-    loaded = load_dataset(dataset)
     click.echo(f"languages: {', '.join(loaded.languages)}")
     for domain, count in loaded.domain_counts().items():
         click.echo(f"  {domain:<12} {count} QA items")
@@ -160,6 +159,7 @@ def collect(config_path, dataset_path, store_path, endpoint, model, shots, seed,
 
     dataset = _load_dataset(dataset_path, languages, config)
 
+    rate_limit = _pick(rate_limit, config, "collection", "rate_limit_rps")
     try:
         cfg = CollectionConfig(
             endpoint=_pick(endpoint, config, "collection", "endpoint"),
@@ -170,13 +170,13 @@ def collect(config_path, dataset_path, store_path, endpoint, model, shots, seed,
             temperature=float(_pick(None, config, "collection", "temperature", default=0.0)),
             decoding=dict(_pick(None, config, "collection", "decoding", default={})),
             concurrency=int(_pick(concurrency, config, "collection", "concurrency", default=4)),
-            rate_limit_rps=_pick(rate_limit, config, "collection", "rate_limit_rps"),
+            rate_limit_rps=None if rate_limit is None else float(rate_limit),
             max_attempts=int(_pick(None, config, "collection", "max_attempts", default=3)),
             timeout=float(_pick(None, config, "collection", "timeout", default=60.0)),
             token_env=_pick(None, config, "collection", "token_env", default="XLCONSIST_API_KEY"),
             cut_at_newline=bool(_pick(None, config, "collection", "cut_at_newline", default=True)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise click.UsageError(str(exc))
     if not cfg.endpoint:
         raise click.UsageError("need --endpoint (or collection.endpoint in the config)")

@@ -477,22 +477,30 @@ def _score_jobs(jobs, cfg: ChrfConfig, meanwhile):
     if not workers:
         result = meanwhile()
         return [_chrf_job(job, cfg) for job in jobs], result
-    # imported here, not at the top: `import xlconsist` (collect, validate)
-    # then loads no multiprocessing modules
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    # frozen, the loaded corpus is skipped by this process's collections
+    # until the workers are joined, so none walks it (and copies its pages
+    # after the fork): not the full collection that the imports below
+    # often set off, nor any while the workers run
+    gc.freeze()
+    try:
+        # imported here, not at the top: `import xlconsist` (collect,
+        # validate) then loads no multiprocessing modules
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(
-        workers, mp_context=context, initializer=_start_worker, initargs=(jobs, cfg)
-    ) as pool:
-        try:
-            futures = [pool.submit(_worker_job, index) for index in range(len(jobs))]
-            result = meanwhile()
-            return [future.result() for future in futures], result
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(
+            workers, mp_context=context, initializer=_start_worker, initargs=(jobs, cfg)
+        ) as pool:
+            try:
+                futures = [pool.submit(_worker_job, index) for index in range(len(jobs))]
+                result = meanwhile()
+                return [future.result() for future in futures], result
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    finally:
+        gc.unfreeze()
 
 
 def xc(xsc_value: float, xac_value: float, xtc_value: float) -> float:

@@ -16,9 +16,11 @@ Cache file layout (little-endian, append-only):
             + u64 index offset + b"XLCFTR1\\n"
 
 Records are appended as they arrive; a fresh index block is appended on
-clean close. Reopening checks for a trailing footer (fast path) and falls
-back to a full scan that skips stale interior index blocks and tolerates a
-truncated final record, so a crashed run never loses committed vectors.
+clean close, unless the file already ends with the index of every record
+(nothing was appended since a footer was read). Reopening checks for a
+trailing footer (fast path) and falls back to a full scan that skips
+stale interior index blocks and tolerates a truncated final record, so a
+crashed run never loses committed vectors.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CacheMissError, DimensionMismatchError, ProviderError
-from .transport import RETRY_ERRORS, RetryPolicy, Transport
+from .transport import RETRY_ERRORS, RetryPolicy, Transport, is_http_url
 
 _FILE_MAGIC = b"XLCVEC1\n"
 _FOOTER_MAGIC = b"XLCFTR1\n"
@@ -60,6 +62,8 @@ class VectorCache:
         self._lock = threading.RLock()
         self._offsets: dict[bytes, int] = {}  # key -> offset of the record tag
         self._closed = False
+        # close() writes an index only when the file's last one is missing or stale
+        self._index_stale = False
         if self.path.exists() and self.path.stat().st_size > 0:
             self._load_existing()
         else:
@@ -105,6 +109,7 @@ class VectorCache:
         return True
 
     def _full_scan(self, handle, size):
+        self._index_stale = True
         pos = len(_FILE_MAGIC)
         while pos < size:
             handle.seek(pos)
@@ -185,17 +190,19 @@ class VectorCache:
             self._append.write(b"R" + raw + struct.pack("<I", len(values)) + values.tobytes())
             self._append.flush()
             self._offsets[raw] = offset
+            self._index_stale = True
 
     def close(self) -> None:
         with self._lock:
             if self._closed:
                 return
-            index_offset = self._append.tell()
-            self._append.write(b"I" + struct.pack("<Q", len(self._offsets)))
-            for key, offset in self._offsets.items():
-                self._append.write(key + struct.pack("<Q", offset))
-            self._append.write(struct.pack("<Q", index_offset) + _FOOTER_MAGIC)
-            self._append.flush()
+            if self._index_stale:
+                index_offset = self._append.tell()
+                self._append.write(b"I" + struct.pack("<Q", len(self._offsets)))
+                for key, offset in self._offsets.items():
+                    self._append.write(key + struct.pack("<Q", offset))
+                self._append.write(struct.pack("<Q", index_offset) + _FOOTER_MAGIC)
+                self._append.flush()
             self._append.close()
             self._read.close()
             self._closed = True
@@ -231,6 +238,8 @@ class EmbeddingProviderConfig:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.kind == "http" and not self.endpoint:
             raise ValueError("http provider needs an endpoint")
+        if self.kind == "http" and not is_http_url(self.endpoint):
+            raise ValueError(f"endpoint {self.endpoint!r} is not an http(s) URL")
         object.__setattr__(self, "synonyms", tuple(tuple(g) for g in self.synonyms))
 
     def describe(self) -> dict:

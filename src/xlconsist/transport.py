@@ -53,13 +53,19 @@ def _basic(username: str, password: str) -> str:
     return "Basic " + base64.b64encode(credentials).decode("ascii")
 
 
+def is_http_url(endpoint: str) -> bool:
+    """Whether `endpoint` is an http(s) URL with a host, as Transport needs."""
+    url = urlsplit(endpoint)
+    return url.scheme in ("http", "https") and bool(url.hostname)
+
+
 class Transport:
     """POSTs JSON to one endpoint over keep-alive connections."""
 
     def __init__(self, endpoint: str, timeout: float, token_env: str):
-        url = urlsplit(endpoint)
-        if url.scheme not in ("http", "https") or not url.hostname:
+        if not is_http_url(endpoint):
             raise XlconsistError(f"endpoint {endpoint!r} is not an http(s) URL")
+        url = urlsplit(endpoint)
         self.timeout = timeout
         self.token_env = token_env
         self._context = ssl.create_default_context() if url.scheme == "https" else None

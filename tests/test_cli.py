@@ -311,3 +311,45 @@ def test_out_of_range_setting_exits_two_and_writes_nothing(
     assert result.exit_code == 2, result.output
     assert shown in result.output
     assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["score", "embed"])
+def test_endpoint_that_is_not_http_exits_two_and_writes_nothing(runner, tmp_path, command):
+    args = [command, "--dataset", str(bundled_fixture_path()), "--cache", str(tmp_path / "c.bin"),
+            "--provider-kind", "http", "--endpoint", "ftp://host/embed"]
+    if command == "score":
+        args += ["--ground-truth", "--out-dir", str(tmp_path / "out")]
+    else:
+        args += ["--answers", str(_ground_truth_store(tmp_path / "gt.jsonl"))]
+    before = set(tmp_path.iterdir())
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2, result.output
+    assert "endpoint 'ftp://host/embed' is not an http(s) URL" in result.output
+    assert set(tmp_path.iterdir()) == before
+
+
+def _collect_with_rate_limit(runner, tmp_path, value):
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        f"schema: xlconsist-run/1\ncollection:\n  rate_limit_rps: {value}\n", encoding="utf-8"
+    )
+    with MockLLMServer(mini_fixture_answers()) as llm:
+        return runner.invoke(cli, [
+            "collect", "--config", str(config), "--dataset", str(bundled_fixture_path()),
+            "--out", str(tmp_path / "a.jsonl"), "--endpoint", llm.url, "--model", "canned",
+            "--shots", "1",
+        ])
+
+
+def test_quoted_rate_limit_in_the_config_is_read_as_a_number(runner, tmp_path):
+    result = _collect_with_rate_limit(runner, tmp_path, '"500"')
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((tmp_path / "a.jsonl.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["rate_limit_rps"] == 500.0
+
+
+def test_rate_limit_that_is_not_a_number_exits_two_and_writes_nothing(runner, tmp_path):
+    result = _collect_with_rate_limit(runner, tmp_path, "fast")
+    assert result.exit_code == 2, result.output
+    assert "could not convert string to float: 'fast'" in result.output
+    assert not (tmp_path / "a.jsonl").exists()

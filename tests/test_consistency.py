@@ -762,6 +762,60 @@ def test_workers_take_their_jobs_through_fork_and_freeze_what_they_inherit(monke
     assert multiprocessing.active_children() == []
 
 
+def test_parent_freezes_what_it_forks_until_the_workers_are_joined(monkeypatch):
+    # gc.freeze() before the fork: while the workers run, this process's
+    # collections skip the dataset and answers (a frozen object is in no
+    # generation that gc.get_objects lists), and no full collection runs;
+    # once the pool is joined they are unfrozen
+    dataset, answers = synthetic_run()
+    probe = dataset.qa_items[0]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    events, recording = [], []
+
+    def on_gc(phase, info):
+        if recording and phase == "start":
+            events.append(("gc", info["generation"]))
+
+    def after_fork():
+        if recording:
+            events.append(("fork",))
+
+    def seen(name):
+        collected = any(obj is probe for obj in gc.get_objects())
+        events.append((name, gc.get_freeze_count(), collected))
+
+    class FreezeSpy(SpyEmbedder):
+        def embed_batch(self, texts):
+            seen("embed")
+            return super().embed_batch(texts)
+
+    def provenance():
+        seen("provenance")
+        return {}
+
+    os.register_at_fork(after_in_parent=after_fork)
+    # reset the collector's counts, so no earlier test decides whether a full
+    # collection falls due in the pass below
+    gc.collect()
+    gc.callbacks.append(on_gc)
+    recording.append(True)
+    try:
+        build_report(answers, dataset, FreezeSpy(), provenance=provenance)
+    finally:
+        recording.clear()
+        gc.callbacks.remove(on_gc)
+    assert gc.get_freeze_count() == 0
+    assert any(obj is probe for obj in gc.get_objects())
+    kinds = [event[0] for event in events]
+    assert kinds.count("fork") == 2
+    first_fork, end = kinds.index("fork"), kinds.index("provenance")
+    assert first_fork < kinds.index("embed") < end
+    for event in events:
+        if event[0] in ("embed", "provenance"):
+            assert event[1] > 0 and not event[2], event
+    assert ("gc", 2) not in events[first_fork:end]
+
+
 def test_cli_import_loads_no_multiprocessing():
     # the pool's modules load on the first pooled build_report, not with the package
     src = Path(consistency.__file__).resolve().parents[1]

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import unicodedata
 
 import pytest
 
 from xlconsist.dataset import (
+    SCHEMA,
     Dataset,
     QAItem,
     TimelinessItem,
@@ -227,3 +229,137 @@ def test_synthetic_sports_file_has_253_pairs(tmp_path):
     loaded = load_dataset(path)
     assert loaded.n_qa == 253
     assert loaded.domain_counts() == {"sports": 253}
+
+
+def _nfd(text):
+    return unicodedata.normalize("NFD", text)
+
+
+# every string in NFD: ids, domain, entity, relation, the declared language
+# "x-é", the map keys, questions, answers and timeliness candidates; "ko"
+# is not declared
+_NFD_RECORDS = [
+    {"schema": SCHEMA, "languages": ["en", _nfd("x-é")]},
+    {"id": _nfd("ex-é"), "type": "exemplar", "domain": _nfd("géographie"),
+     "entity": _nfd("Besançon"), "relation": _nfd("région"),
+     "q": {"en": _nfd("Region of Besançon?"), _nfd("x-é"): _nfd("Région de Besançon ?")},
+     "a": {"en": _nfd("Bourgogne-Franche-Comté"), _nfd("x-é"): _nfd("Bourgogne-Franche-Comté")}},
+    {"id": _nfd("q-é"), "domain": _nfd("géographie"), "entity": _nfd("Zürich"),
+     "relation": _nfd("capitale"),
+     "q": {"en": _nfd("Capital of the canton of Zürich?"), _nfd("x-é"): _nfd("Capitale ?"),
+           "ko": _nfd("취리히 주의 주도는?")},
+     "a": {"en": _nfd("Zürich"), _nfd("x-é"): _nfd("Zürich"), "ko": _nfd("취리히")}},
+    {"id": _nfd("t-é"), "type": "timeliness",
+     "q": {"en": _nfd("Newest café?"), _nfd("x-é"): _nfd("Dernier café ?"), "ko": "카페?"},
+     "candidates": {"en": [_nfd("Café Noël"), _nfd("Café Été")],
+                    _nfd("x-é"): [_nfd("Noël"), _nfd("Été")],
+                    "ko": [_nfd("노엘"), "여름"]}},
+]
+
+
+def _nfd_dataset():
+    """The dataset of _NFD_RECORDS, built through the public constructors."""
+    header, exemplar, qa, timely = _NFD_RECORDS
+
+    def qa_item(record):
+        return QAItem(record["id"], record["domain"], record["entity"], record["relation"],
+                      record["q"], record["a"])
+
+    return Dataset(
+        languages=tuple(header["languages"]),
+        qa_items=(qa_item(qa),),
+        timeliness_items=(
+            TimelinessItem(timely["id"], timely["q"],
+                           {lang: tuple(c) for lang, c in timely["candidates"].items()}),
+        ),
+        few_shot_pool={exemplar["domain"]: (qa_item(exemplar),)},
+    )
+
+
+def _write_nfd_file(path):
+    lines = [json.dumps(record, ensure_ascii=False) for record in _NFD_RECORDS]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def _strings(value):
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _strings(key)
+            yield from _strings(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _strings(item)
+
+
+def test_nfd_text_in_every_field_loads_equal_to_constructed_items(tmp_path):
+    loaded = load_dataset(_write_nfd_file(tmp_path / "nfd.jsonl"))
+    built = _nfd_dataset()
+    assert loaded == built
+    assert loaded.few_shot_pool == built.few_shot_pool
+    assert loaded.languages == ("en", "x-é")
+    item, timely = loaded.qa_items[0], loaded.timeliness_items[0]
+    assert item.answers["ko"] == "취리히" and timely.candidates["x-é"] == ("Noël", "Été")
+    fields = [loaded.languages, list(loaded.few_shot_pool)]
+    fields += [vars(item) for item in (*loaded.few_shot_pool["géographie"], item, timely)]
+    strings = list(_strings(fields))
+    assert len(strings) > 40
+    assert all(unicodedata.is_normalized("NFC", text) for text in strings)
+    assert any(not unicodedata.is_normalized("NFC", text) for text in _strings(_NFD_RECORDS))
+
+
+# sha256 of the file write_dataset writes for _nfd_dataset(), in full and cut
+# to ("x-é", "en"); they pin the digest's encoding of every record kind
+_NFD_DIGEST = "5ce72ae55498f83c69c48ef0db63594fe337689e5cd7174a77305047e6f77423"
+_NFD_SUBSET_DIGEST = "0fbca02c37be06fd6387e5e78d8745e352c76f389cafe74410452895488167f8"
+
+
+def test_dataset_hash_is_the_digest_of_the_serialized_file(tmp_path):
+    built = _nfd_dataset()
+    loaded = load_dataset(_write_nfd_file(tmp_path / "nfd.jsonl"))
+    for dataset, digest in [(built, _NFD_DIGEST), (loaded, _NFD_DIGEST),
+                            (built.subset(["x-é", "en"]), _NFD_SUBSET_DIGEST)]:
+        text = serialize_dataset(dataset)
+        assert dataset_hash(dataset) == hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    written = tmp_path / "written.jsonl"
+    write_dataset(built, written)
+    assert written.read_text(encoding="utf-8") == serialize_dataset(built)
+    assert load_dataset(written) == built
+
+
+_QA = {"id": "q1", "domain": "d", "entity": "e", "relation": "r",
+       "q": {"en": "Q?", "zh": "问？"}, "a": {"en": "A", "zh": "答"}}
+_TIMELY = {"id": "t1", "type": "timeliness", "q": {"en": "Q?", "zh": "问？"},
+           "candidates": {"en": ["b", "a"], "zh": ["乙", "甲"]}}
+
+
+@pytest.mark.parametrize("record, message", [
+    ({**_QA, "q": "Q?"}, "field 'q' must be an object of lang -> text"),
+    ({**_QA, "a": {"en": "A", "zh": 5}}, "a['zh'] must be a string"),
+    ({**_QA, "q": {"en": ["Q?"], "zh": None}}, "q['en'] must be a string"),
+    ({**_QA, "a": {_nfd("é"): 1}}, f"a[{_nfd('é')!r}] must be a string"),
+    ({key: value for key, value in _QA.items() if key != "entity"},
+     "missing required field 'entity'"),
+    ({**{key: value for key, value in _QA.items() if key != "id"}, "q": 1},
+     "missing required field 'id'"),
+    ({**_QA, "type": "exemplar", "a": {"en": "A", "zh": 2}}, "a['zh'] must be a string"),
+    ({**_TIMELY, "candidates": ["b"]}, "field 'candidates' must be an object"),
+    ({**_TIMELY, "candidates": {"en": ["b"], "zh": ["乙", 3]}},
+     "candidates['zh'] must be a list of strings"),
+    ({**{key: value for key, value in _TIMELY.items() if key != "id"}, "candidates": {"en": 1}},
+     "candidates['en'] must be a list of strings"),
+    ({**_TIMELY, "q": {"en": 1}}, "q['en'] must be a string"),
+    ({**_QA, "type": "mystery"}, "unknown record type 'mystery'"),
+])
+def test_malformed_record_names_its_field_and_line(tmp_path, record, message):
+    lines = ['{"schema":"makqa/1","languages":["en","zh"]}', json.dumps(_QA),
+             "", json.dumps(record, ensure_ascii=False)]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError) as excinfo:
+        load_dataset(path)
+    assert (str(excinfo.value), excinfo.value.line) == (f"line 4: {message}", 4)
+    report = validate_file(path)
+    assert report.render() == f"1 violation(s):\n[format / line 4] line 4: {message}"

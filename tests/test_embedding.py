@@ -87,6 +87,34 @@ def test_cache_survives_truncated_tail(tmp_path):
         assert final.keys() == {cache_key("kept"), cache_key("new")}
 
 
+def test_reopen_and_close_without_a_put_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "vectors.bin"
+    with VectorCache(path) as cache:
+        for i in range(5):
+            cache.put(cache_key(f"text {i}"), [float(i)] * 3)
+    written = path.read_bytes()
+    for _ in range(3):
+        with VectorCache(path) as cache:
+            assert len(cache) == 5
+            cache.put(cache_key("text 0"), [9.0])  # stored already: nothing appended
+            cache.gather([cache_key("text 1")], 3)
+        assert path.read_bytes() == written
+
+
+def test_close_after_a_full_scan_writes_the_index_once(tmp_path):
+    path = tmp_path / "vectors.bin"
+    cache = VectorCache(path)
+    cache.put(cache_key("kept"), [1.0, 2.0])
+    cache._append.close()
+    cache._read.close()  # a crash: no index written
+    records = path.read_bytes()
+    VectorCache(path).close()  # a full scan finds no index, so close writes one
+    indexed = path.read_bytes()
+    assert len(indexed) > len(records) and indexed.startswith(records)
+    VectorCache(path).close()
+    assert path.read_bytes() == indexed
+
+
 def test_cache_put_is_idempotent(tmp_path):
     path = tmp_path / "vectors.bin"
     with VectorCache(path) as cache:
@@ -173,6 +201,13 @@ def test_provider_config_validation():
         EmbeddingProviderConfig(expected_dims=0)
     with pytest.raises(ValueError):
         EmbeddingProviderConfig(kind="http")  # endpoint required
+
+
+def test_provider_config_refuses_an_endpoint_that_is_not_http():
+    with pytest.raises(ValueError, match="endpoint 'ftp://host/embed' is not an http"):
+        EmbeddingProviderConfig(kind="http", endpoint="ftp://host/embed")
+    with pytest.raises(ValueError, match="is not an http"):
+        EmbeddingProviderConfig(kind="http", endpoint="http:///embed")  # no host
 
 
 def test_provider_config_refuses_zero_attempts():
