@@ -122,7 +122,8 @@ def load_answers(path: str | Path) -> AnswerSet:
     `str.splitlines` boundary stays one record. A line that is exactly one
     JSON object is decoded in place by one bound decoder; any other line is
     skipped when blank, dropped when it is a torn final line, and otherwise
-    raises DatasetFormatError with its line number.
+    raises DatasetFormatError with its line number, as does a record
+    without a string `text` or without a hashable `lang` and `item`.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
@@ -159,9 +160,14 @@ def load_answers(path: str | Path) -> AnswerSet:
         if stop != end or type(record) is not dict:
             record = _odd_line(text[pos:end], line_no, last=end + 1 >= size)
         if record is not None:
-            key = (record["lang"], record["item"])
-            answer = record["text"]
-            answers[key] = unicodedata.normalize("NFC", answer)
+            try:
+                key = (record["lang"], record["item"])
+                answer = record["text"]
+                answers[key] = unicodedata.normalize("NFC", answer)
+            except (KeyError, TypeError):
+                raise DatasetFormatError(
+                    "answer record needs string lang, item and text", line=line_no
+                ) from None
             raw[key] = record.get("raw", answer)
             statuses[key] = record.get("status", STATUS_OK)
             if "attempts" in record:

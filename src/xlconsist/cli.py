@@ -230,8 +230,11 @@ def embed(config_path, dataset_path, answers_path, cache_path, provider_kind, en
     """Prefetch embeddings for every answer into the cache (for offline scoring)."""
     config = load_run_config(config_path)
     dataset_path = _require_file(_pick(dataset_path, config, "dataset"), "dataset")
-    dataset = load_dataset(dataset_path)
-    answers = load_answers(answers_path)
+    try:
+        dataset = load_dataset(dataset_path)
+        answers = load_answers(answers_path)
+    except XlconsistError as exc:
+        raise click.ClickException(str(exc))
     seed = int(_pick(seed, config, "seed", default=0))
 
     provider = _provider_config(config, provider_kind, endpoint, dims, batch_size, seed)
@@ -293,11 +296,10 @@ def score(config_path, dataset_path, answers_path, ground_truth, out_dir, cache_
     dataset = _load_dataset(dataset_path, languages, config)
 
     seed = int(_pick(seed, config, "seed", default=0))
-    answers = (
-        ground_truth_answers(dataset)
-        if ground_truth
-        else load_answers(answers_path)
-    )
+    try:
+        answers = ground_truth_answers(dataset) if ground_truth else load_answers(answers_path)
+    except XlconsistError as exc:
+        raise click.ClickException(str(exc))
 
     provider = _provider_config(config, provider_kind, endpoint, dims, batch_size, seed)
     cache = VectorCache(cache_path) if cache_path else None

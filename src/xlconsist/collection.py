@@ -43,7 +43,7 @@ from .answers import (
 )
 from .dataset import Dataset, QAItem
 from .errors import AuthenticationError, ParaphraseMissingError, ProviderError, XlconsistError
-from .transport import Request, Retryable, RetryPolicy, Transport
+from .transport import Request, Retryable, RetryPolicy, Transport, is_http_url
 
 log = logging.getLogger(__name__)
 
@@ -82,6 +82,8 @@ class CollectionConfig:
             raise ValueError(f"rate_limit_rps must be finite and > 0, got {rate}")
         if self.prompt_variant not in VARIANTS:
             raise ValueError(f"prompt_variant must be one of {VARIANTS}")
+        if self.endpoint and not is_http_url(self.endpoint):
+            raise ValueError(f"endpoint {self.endpoint!r} is not an http(s) URL")
 
     def snapshot(self) -> dict:
         return {

@@ -171,20 +171,6 @@ def _item_ids(*groups) -> list[str]:
     return [item.id for group in groups for item in group]
 
 
-class _LookedUp:
-    """Answers that `build_report` has looked up already, read by `xsc`
-    through the same `columns` method as an AnswerSet."""
-
-    def __init__(self, languages, item_ids, columns):
-        self._key = (tuple(languages), item_ids)
-        self._columns = columns
-
-    def columns(self, languages, item_ids) -> list[list[str]]:
-        if (tuple(languages), item_ids) != self._key:
-            raise ValueError("these answers were looked up for other items")
-        return self._columns
-
-
 @dataclass
 class MetricResult:
     score: float
@@ -214,8 +200,13 @@ def xsc(
     item_ids = _item_ids(*_select_items(dataset, include_timeliness))
     if not item_ids:
         raise ValueError("no items selected for xsc")
-    columns = answers.columns(languages, item_ids)
+    return _xsc(languages, answers.columns(languages, item_ids), embedder)
 
+
+def _xsc(languages, columns, embedder) -> MetricResult:
+    """xSC of each language's answers, one column per language over the
+    same items."""
+    n_items = len(columns[0])
     # each distinct answer is embedded once, in first-seen order; rows[i, k]
     # is the row of language i's answer to item k
     row_of = {text: row for row, text in enumerate(dict.fromkeys(chain.from_iterable(columns)))}
@@ -225,15 +216,15 @@ def xsc(
     norms = np.sqrt((unit * unit).sum(axis=1))
     unit /= np.where(norms > 0, norms, 1.0)[:, None]
     pairs = PairMatrix.index_pairs(languages)
-    cosines = np.empty((len(pairs), len(item_ids)))
+    cosines = np.empty((len(pairs), n_items))
     # a block of items at a time, so that every language's vectors for the
     # block (about 1 MiB) stay in cache while all pairs read them
     block = max(1, (1 << 20) // (len(languages) * unit.shape[1] * unit.itemsize))
-    for start in range(0, len(item_ids), block):
+    for start in range(0, n_items, block):
         vectors = unit[rows[:, start : start + block]]
         for row, (i, j) in enumerate(pairs):
             cosines[row, start : start + block] = (vectors[i] * vectors[j]).sum(axis=1)
-    matrix = _cosine_matrix(languages, cosines, np.ones(len(item_ids), dtype=bool))
+    matrix = _cosine_matrix(languages, cosines, np.ones(n_items, dtype=bool))
     return MetricResult(matrix.mean_offdiagonal(), matrix, cosines)
 
 
@@ -272,28 +263,27 @@ def _worker_job(index: int) -> list[float]:
     return _chrf_job(jobs[index], cfg)
 
 
-def _accuracy_jobs(languages, qa, timeliness, columns):
-    """One chrF job per language: each answer (a column over the qa items,
-    then the timeliness items) against its own-language truth; a timeliness
-    item's truth is its newest candidate."""
-    return [
+def _accuracy_jobs(answers: AnswerSet, dataset: Dataset, include_timeliness: bool):
+    """(each language's answers to the items xac scores, one chrF job per
+    language), checked as xac checks them. A job scores each answer (a
+    column over the qa items, then the timeliness items) against its
+    own-language truth; a timeliness item's truth is its newest candidate."""
+    languages = dataset.languages
+    if len(languages) < 2:
+        raise ValueError("xac needs at least 2 languages")
+    qa, timeliness = _select_items(dataset, include_timeliness)
+    columns = answers.columns(languages, _item_ids(qa, timeliness))
+    count = len(qa) + len(timeliness)
+    if count < 2:
+        raise ValueError(f"xac needs at least 2 items, got {count}")
+    jobs = [
         (
             column,
             [item.answers[lang] for item in qa] + [item.candidates[lang][0] for item in timeliness],
         )
         for lang, column in zip(languages, columns)
     ]
-
-
-def _xac_columns(answers: AnswerSet, dataset: Dataset, qa, timeliness):
-    """Each language's answers to the items xac scores, checked as xac checks them."""
-    if len(dataset.languages) < 2:
-        raise ValueError("xac needs at least 2 languages")
-    columns = answers.columns(dataset.languages, _item_ids(qa, timeliness))
-    count = len(qa) + len(timeliness)
-    if count < 2:
-        raise ValueError(f"xac needs at least 2 items, got {count}")
-    return columns
+    return columns, jobs
 
 
 def accuracy_vectors(
@@ -304,9 +294,7 @@ def accuracy_vectors(
     include_timeliness: bool = False,
 ) -> dict[str, np.ndarray]:
     """Per-language chrF of each answer against its own-language ground truth."""
-    qa, timeliness = _select_items(dataset, include_timeliness)
-    columns = answers.columns(dataset.languages, _item_ids(qa, timeliness))
-    jobs = _accuracy_jobs(dataset.languages, qa, timeliness, columns)
+    _, jobs = _accuracy_jobs(answers, dataset, include_timeliness)
     return _accuracy_vectors(dataset, [_chrf_job(job, chrf_cfg) for job in jobs])
 
 
@@ -344,11 +332,8 @@ def xac(
     Degenerate pairs (a constant accuracy vector on either side) score 0
     and stay in the denominator; their count is carried on the matrix.
     """
-    qa, timeliness = _select_items(dataset, include_timeliness)
-    columns = _xac_columns(answers, dataset, qa, timeliness)
-    jobs = _accuracy_jobs(dataset.languages, qa, timeliness, columns)
-    scores = [_chrf_job(job, chrf_cfg) for job in jobs]
-    return _rank_result(dataset.languages, _accuracy_vectors(dataset, scores))
+    vectors = accuracy_vectors(answers, dataset, chrf_cfg, include_timeliness=include_timeliness)
+    return _rank_result(dataset.languages, vectors)
 
 
 def timeliness_score(
@@ -385,11 +370,17 @@ def _recency_weighted(scores: list[float], mode: str, tau: float) -> float:
     return best / rank
 
 
-def _timeliness_jobs(languages, items, columns):
-    """One chrF job per language: each answer (a column over the timeliness
-    items) against every candidate of its item."""
+def _timeliness_jobs(answers: AnswerSet, dataset: Dataset):
+    """One chrF job per language, checked as xtc checks them: each answer
+    (a column over the timeliness items) against every candidate of its
+    item."""
+    languages, items = dataset.languages, dataset.timeliness_items
+    if len(languages) < 2:
+        raise ValueError("xtc needs at least 2 languages")
+    if len(items) < 2:
+        raise ValueError(f"xtc needs at least 2 timeliness items, got {len(items)}")
     jobs = []
-    for lang, column in zip(languages, columns):
+    for lang, column in zip(languages, answers.columns(languages, _item_ids(items))):
         hypotheses, references = [], []
         for item, answer in zip(items, column):
             candidates = item.candidates[lang]
@@ -397,19 +388,6 @@ def _timeliness_jobs(languages, items, columns):
             references += candidates
         jobs.append((hypotheses, references))
     return jobs
-
-
-def _check_xtc(dataset: Dataset) -> None:
-    if len(dataset.languages) < 2:
-        raise ValueError("xtc needs at least 2 languages")
-    if len(dataset.timeliness_items) < 2:
-        raise ValueError(
-            f"xtc needs at least 2 timeliness items, got {len(dataset.timeliness_items)}"
-        )
-
-
-def _timeliness_columns(answers: AnswerSet, dataset: Dataset):
-    return answers.columns(dataset.languages, _item_ids(dataset.timeliness_items))
 
 
 def timeliness_vectors(
@@ -421,8 +399,7 @@ def timeliness_vectors(
 ) -> dict[str, np.ndarray]:
     """Per-language timeliness score of each timeliness item; one chrF
     batch per language over every (answer, candidate) pair."""
-    columns = _timeliness_columns(answers, dataset)
-    jobs = _timeliness_jobs(dataset.languages, dataset.timeliness_items, columns)
+    jobs = _timeliness_jobs(answers, dataset)
     return _timeliness_vectors(dataset, [_chrf_job(job, chrf_cfg) for job in jobs], mode, tau)
 
 
@@ -448,11 +425,8 @@ def xtc(
     tau: float = 0.0,
 ) -> MetricResult:
     """Cross-lingual timeliness consistency over the timeliness subset."""
-    _check_xtc(dataset)
-    columns = _timeliness_columns(answers, dataset)
-    jobs = _timeliness_jobs(dataset.languages, dataset.timeliness_items, columns)
-    scores = [_chrf_job(job, chrf_cfg) for job in jobs]
-    return _rank_result(dataset.languages, _timeliness_vectors(dataset, scores, mode, tau))
+    vectors = timeliness_vectors(answers, dataset, chrf_cfg, mode, tau)
+    return _rank_result(dataset.languages, vectors)
 
 
 def _chrf_workers(n_jobs: int) -> int:
@@ -480,8 +454,12 @@ def _score_jobs(jobs, cfg: ChrfConfig, meanwhile):
     # frozen, the loaded corpus is skipped by this process's collections
     # until the workers are joined, so none walks it (and copies its pages
     # after the fork): not the full collection that the imports below
-    # often set off, nor any while the workers run
-    gc.freeze()
+    # often set off, nor any while the workers run. gc.unfreeze is
+    # process-wide, so a pass whose caller has frozen objects itself
+    # neither freezes nor unfreezes
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
         # imported here, not at the top: `import xlconsist` (collect,
         # validate) then loads no multiprocessing modules
@@ -500,7 +478,8 @@ def _score_jobs(jobs, cfg: ChrfConfig, meanwhile):
                 pool.shutdown(cancel_futures=True)
                 raise
     finally:
-        gc.unfreeze()
+        if freeze:
+            gc.unfreeze()
 
 
 def xc(xsc_value: float, xac_value: float, xtc_value: float) -> float:
@@ -714,26 +693,17 @@ def build_report(
 ) -> ConsistencyReport:
     """Full scoring pass: all four metrics, matrices, per-domain table.
 
-    Each answer is looked up once. The xAC and xTC chrF jobs run in worker
-    processes while xSC runs here (see `_score_jobs`). `provenance` is
-    merged into the report's; when it is a callable, it is called here
-    after xSC, while the workers still run."""
+    The xAC and xTC chrF jobs run in worker processes while xSC runs here
+    (see `_score_jobs`); xSC and xAC score the same items, so xSC reads
+    the answers that xAC looked up. `provenance` is merged into the
+    report's; when it is a callable, it is called here after xSC, while
+    the workers still run."""
     languages = dataset.languages
-    # the items xSC and xAC score; their answers are checked and looked up
-    # first, as xac does, then the timeliness answers unless among them
-    qa, included = _select_items(dataset, include_timeliness=include_timeliness)
-    scored = _xac_columns(answers, dataset, qa, included)
-    _check_xtc(dataset)
-    if include_timeliness:
-        timely = [column[dataset.n_qa :] for column in scored]
-    else:
-        timely = _timeliness_columns(answers, dataset)
-    jobs = _accuracy_jobs(languages, qa, included, scored)
-    jobs += _timeliness_jobs(languages, dataset.timeliness_items, timely)
-    looked_up = _LookedUp(languages, _item_ids(qa, included), scored)
+    scored, jobs = _accuracy_jobs(answers, dataset, include_timeliness)
+    jobs += _timeliness_jobs(answers, dataset)
 
     def meanwhile():
-        semantic = xsc(looked_up, dataset, embedder, include_timeliness=include_timeliness)
+        semantic = _xsc(languages, scored, embedder)
         return semantic, provenance() if callable(provenance) else provenance
 
     scores, (semantic, extra) = _score_jobs(jobs, chrf_cfg, meanwhile)

@@ -1,20 +1,21 @@
 """Bundled fixture data and deterministic synthetic corpora.
 
-`mini_fixture()` is the source of truth for the committed
-`data/fixture.jsonl` (24 QA items in 3 domains, 4 timeliness items,
-3 languages, disjoint few-shot pools); a test keeps file and code in sync.
-`synthetic_corpus()` produces a full-size stand-in with the published
-per-domain shape, for count checks and load testing.
+The bundled fixture lives only in its data files: `data/fixture.jsonl`
+(24 QA items in 3 domains, 4 timeliness items, 3 languages, disjoint
+few-shot pools) and `data/fixture_answers.json` (the canned model's
+answer to each of its questions). `mini_fixture()` and
+`mini_fixture_answers()` read them. `synthetic_corpus()` produces a
+full-size stand-in with the published per-domain shape, for count
+checks and load testing.
 """
 
 from __future__ import annotations
 
+import json
 from importlib.resources import files
 from pathlib import Path
 
 from .dataset import Dataset, QAItem, TimelinessItem, load_dataset
-
-MINI_LANGUAGES = ("en", "de", "zh")
 
 # (#entities, #relations, #QA pairs) per domain; timeliness row separate
 CORPUS_SHAPE = {
@@ -37,353 +38,13 @@ def bundled_answers_path() -> Path:
     return Path(str(files("xlconsist").joinpath("data/fixture_answers.json")))
 
 
-def load_bundled_fixture() -> Dataset:
-    return load_dataset(bundled_fixture_path())
-
-
-def _qa(item_id, domain, entity, relation, en, de, zh):
-    """en/de/zh are (question, answer) pairs."""
-    return QAItem(
-        id=item_id,
-        domain=domain,
-        entity=entity,
-        relation=relation,
-        questions={"en": en[0], "de": de[0], "zh": zh[0]},
-        answers={"en": en[1], "de": de[1], "zh": zh[1]},
-    )
-
-
-_GEO = [
-    _qa("geo-01", "geography", "France", "capital",
-        ("What is the capital of France?", "Paris"),
-        ("Was ist die Hauptstadt von Frankreich?", "Paris"),
-        ("法国的首都是哪座城市？", "巴黎")),
-    _qa("geo-02", "geography", "Japan", "capital",
-        ("What is the capital of Japan?", "Tokyo"),
-        ("Was ist die Hauptstadt von Japan?", "Tokio"),
-        ("日本的首都是哪座城市？", "东京")),
-    _qa("geo-03", "geography", "Russia", "capital",
-        ("What is the capital of Russia?", "Moscow"),
-        ("Was ist die Hauptstadt von Russland?", "Moskau"),
-        ("俄罗斯的首都是哪座城市？", "莫斯科")),
-    _qa("geo-04", "geography", "Argentina", "capital",
-        ("What is the capital of Argentina?", "Buenos Aires"),
-        ("Was ist die Hauptstadt von Argentinien?", "Buenos Aires"),
-        ("阿根廷的首都是哪座城市？", "布宜诺斯艾利斯")),
-    _qa("geo-05", "geography", "Egypt", "capital",
-        ("What is the capital of Egypt?", "Cairo"),
-        ("Was ist die Hauptstadt von Ägypten?", "Kairo"),
-        ("埃及的首都是哪座城市？", "开罗")),
-    _qa("geo-06", "geography", "Canada", "capital",
-        ("What is the capital of Canada?", "Ottawa"),
-        ("Was ist die Hauptstadt von Kanada?", "Ottawa"),
-        ("加拿大的首都是哪座城市？", "渥太华")),
-    _qa("geo-07", "geography", "Greece", "capital",
-        ("What is the capital of Greece?", "Athens"),
-        ("Was ist die Hauptstadt von Griechenland?", "Athen"),
-        ("希腊的首都是哪座城市？", "雅典")),
-    _qa("geo-08", "geography", "Italy", "capital",
-        ("What is the capital of Italy?", "Rome"),
-        ("Was ist die Hauptstadt von Italien?", "Rom"),
-        ("意大利的首都是哪座城市？", "罗马")),
-]
-
-_SCI = [
-    _qa("sci-01", "science", "gold", "chemical symbol",
-        ("Which element has the chemical symbol Au?", "Gold"),
-        ("Welches Element hat das chemische Symbol Au?", "Gold"),
-        ("化学符号Au代表哪种元素？", "金")),
-    _qa("sci-02", "science", "iron", "chemical symbol",
-        ("Which element has the chemical symbol Fe?", "Iron"),
-        ("Welches Element hat das chemische Symbol Fe?", "Eisen"),
-        ("化学符号Fe代表哪种元素？", "铁")),
-    _qa("sci-03", "science", "sodium", "chemical symbol",
-        ("Which element has the chemical symbol Na?", "Sodium"),
-        ("Welches Element hat das chemische Symbol Na?", "Natrium"),
-        ("化学符号Na代表哪种元素？", "钠")),
-    _qa("sci-04", "science", "oxygen", "chemical symbol",
-        ("Which element has the chemical symbol O?", "Oxygen"),
-        ("Welches Element hat das chemische Symbol O?", "Sauerstoff"),
-        ("化学符号O代表哪种元素？", "氧")),
-    _qa("sci-05", "science", "Jupiter", "largest planet",
-        ("Which planet in the solar system is the largest?", "Jupiter"),
-        ("Welcher Planet im Sonnensystem ist der größte?", "Jupiter"),
-        ("太阳系中最大的行星是哪颗？", "木星")),
-    _qa("sci-06", "science", "Mars", "red planet",
-        ("Which planet is known as the red planet?", "Mars"),
-        ("Welcher Planet wird der rote Planet genannt?", "Mars"),
-        ("哪颗行星被称为红色星球？", "火星")),
-    _qa("sci-07", "science", "water", "chemical formula",
-        ("What is the chemical formula of water?", "H2O"),
-        ("Wie lautet die chemische Formel von Wasser?", "H2O"),
-        ("水的化学式是什么？", "H2O")),
-    _qa("sci-08", "science", "diamond", "hardest material",
-        ("What is the hardest natural material?", "Diamond"),
-        ("Was ist das härteste natürliche Material?", "Diamant"),
-        ("最坚硬的天然材料是什么？", "钻石")),
-]
-
-_HIS = [
-    _qa("his-01", "history", "Titanic", "year of sinking",
-        ("In which year did the Titanic sink?", "1912"),
-        ("In welchem Jahr sank die Titanic?", "1912"),
-        ("泰坦尼克号是哪一年沉没的？", "1912")),
-    _qa("his-02", "history", "Second World War", "year it ended",
-        ("In which year did the Second World War end?", "1945"),
-        ("In welchem Jahr endete der Zweite Weltkrieg?", "1945"),
-        ("第二次世界大战是哪一年结束的？", "1945")),
-    _qa("his-03", "history", "Moon landing", "year",
-        ("In which year did humans first land on the Moon?", "1969"),
-        ("In welchem Jahr landeten Menschen zum ersten Mal auf dem Mond?", "1969"),
-        ("人类哪一年首次登上月球？", "1969")),
-    _qa("his-04", "history", "Berlin Wall", "year it fell",
-        ("In which year did the Berlin Wall fall?", "1989"),
-        ("In welchem Jahr fiel die Berliner Mauer?", "1989"),
-        ("柏林墙是哪一年倒塌的？", "1989")),
-    _qa("his-05", "history", "printing press", "inventor",
-        ("Who invented the printing press?", "Johannes Gutenberg"),
-        ("Wer erfand den Buchdruck?", "Johannes Gutenberg"),
-        ("印刷机是谁发明的？", "约翰内斯·古腾堡")),
-    _qa("his-06", "history", "telephone", "inventor",
-        ("Who invented the telephone?", "Alexander Graham Bell"),
-        ("Wer erfand das Telefon?", "Alexander Graham Bell"),
-        ("电话是谁发明的？", "亚历山大·格雷厄姆·贝尔")),
-    _qa("his-07", "history", "theory of relativity", "author",
-        ("Who developed the theory of relativity?", "Albert Einstein"),
-        ("Wer entwickelte die Relativitätstheorie?", "Albert Einstein"),
-        ("相对论是谁提出的？", "阿尔伯特·爱因斯坦")),
-    _qa("his-08", "history", "Moon", "first person to walk on it",
-        ("Who was the first person to walk on the Moon?", "Neil Armstrong"),
-        ("Wer war der erste Mensch auf dem Mond?", "Neil Armstrong"),
-        ("谁是第一个登上月球的人？", "尼尔·阿姆斯特朗")),
-]
-
-_TIM = [
-    TimelinessItem(
-        id="tim-01",
-        questions={
-            "en": "Which club does Lionel Messi play for?",
-            "de": "Bei welchem Verein spielt Lionel Messi?",
-            "zh": "利昂内尔·梅西效力于哪家俱乐部？",
-        },
-        candidates={
-            "en": ("Inter Miami", "Paris Saint-Germain", "FC Barcelona"),
-            "de": ("Inter Miami", "Paris Saint-Germain", "FC Barcelona"),
-            "zh": ("迈阿密国际", "巴黎圣日耳曼", "巴塞罗那"),
-        },
-    ),
-    TimelinessItem(
-        id="tim-02",
-        questions={
-            "en": "Which country hosted the most recent Summer Olympics?",
-            "de": "Welches Land war zuletzt Gastgeber der Olympischen Sommerspiele?",
-            "zh": "最近一届夏季奥运会由哪个国家举办？",
-        },
-        candidates={
-            "en": ("France", "Japan", "Brazil"),
-            "de": ("Frankreich", "Japan", "Brasilien"),
-            "zh": ("法国", "日本", "巴西"),
-        },
-    ),
-    TimelinessItem(
-        id="tim-03",
-        questions={
-            "en": "Who is the secretary-general of the United Nations?",
-            "de": "Wer ist Generalsekretär der Vereinten Nationen?",
-            "zh": "联合国秘书长是谁？",
-        },
-        candidates={
-            "en": ("António Guterres", "Ban Ki-moon", "Kofi Annan"),
-            "de": ("António Guterres", "Ban Ki-moon", "Kofi Annan"),
-            "zh": ("安东尼奥·古特雷斯", "潘基文", "科菲·安南"),
-        },
-    ),
-    TimelinessItem(
-        id="tim-04",
-        questions={
-            "en": "What is the newest PlayStation console?",
-            "de": "Was ist die neueste PlayStation-Konsole?",
-            "zh": "最新的PlayStation游戏机是哪一款？",
-        },
-        candidates={
-            "en": ("PlayStation 5", "PlayStation 4", "PlayStation 3"),
-            "de": ("PlayStation 5", "PlayStation 4", "PlayStation 3"),
-            "zh": ("PlayStation 5", "PlayStation 4", "PlayStation 3"),
-        },
-    ),
-]
-
-_POOL = {
-    "geography": [
-        _qa("pool-geo-1", "geography", "Spain", "capital",
-            ("What is the capital of Spain?", "Madrid"),
-            ("Was ist die Hauptstadt von Spanien?", "Madrid"),
-            ("西班牙的首都是哪座城市？", "马德里")),
-        _qa("pool-geo-2", "geography", "Germany", "capital",
-            ("What is the capital of Germany?", "Berlin"),
-            ("Was ist die Hauptstadt von Deutschland?", "Berlin"),
-            ("德国的首都是哪座城市？", "柏林")),
-        _qa("pool-geo-3", "geography", "Portugal", "capital",
-            ("What is the capital of Portugal?", "Lisbon"),
-            ("Was ist die Hauptstadt von Portugal?", "Lissabon"),
-            ("葡萄牙的首都是哪座城市？", "里斯本")),
-        _qa("pool-geo-4", "geography", "Netherlands", "capital",
-            ("What is the capital of the Netherlands?", "Amsterdam"),
-            ("Was ist die Hauptstadt der Niederlande?", "Amsterdam"),
-            ("荷兰的首都是哪座城市？", "阿姆斯特丹")),
-        _qa("pool-geo-5", "geography", "South Korea", "capital",
-            ("What is the capital of South Korea?", "Seoul"),
-            ("Was ist die Hauptstadt von Südkorea?", "Seoul"),
-            ("韩国的首都是哪座城市？", "首尔")),
-        _qa("pool-geo-6", "geography", "Austria", "capital",
-            ("What is the capital of Austria?", "Vienna"),
-            ("Was ist die Hauptstadt von Österreich?", "Wien"),
-            ("奥地利的首都是哪座城市？", "维也纳")),
-    ],
-    "science": [
-        _qa("pool-sci-1", "science", "silver", "chemical symbol",
-            ("Which element has the chemical symbol Ag?", "Silver"),
-            ("Welches Element hat das chemische Symbol Ag?", "Silber"),
-            ("化学符号Ag代表哪种元素？", "银")),
-        _qa("pool-sci-2", "science", "copper", "chemical symbol",
-            ("Which element has the chemical symbol Cu?", "Copper"),
-            ("Welches Element hat das chemische Symbol Cu?", "Kupfer"),
-            ("化学符号Cu代表哪种元素？", "铜")),
-        _qa("pool-sci-3", "science", "Mercury", "smallest planet",
-            ("Which planet in the solar system is the smallest?", "Mercury"),
-            ("Welcher Planet im Sonnensystem ist der kleinste?", "Merkur"),
-            ("太阳系中最小的行星是哪颗？", "水星")),
-        _qa("pool-sci-4", "science", "nitrogen", "chemical symbol",
-            ("Which element has the chemical symbol N?", "Nitrogen"),
-            ("Welches Element hat das chemische Symbol N?", "Stickstoff"),
-            ("化学符号N代表哪种元素？", "氮")),
-        _qa("pool-sci-5", "science", "calcium", "chemical symbol",
-            ("Which element has the chemical symbol Ca?", "Calcium"),
-            ("Welches Element hat das chemische Symbol Ca?", "Kalzium"),
-            ("化学符号Ca代表哪种元素？", "钙")),
-        _qa("pool-sci-6", "science", "cheetah", "fastest land animal",
-            ("What is the fastest land animal?", "Cheetah"),
-            ("Was ist das schnellste Landtier?", "Gepard"),
-            ("陆地上跑得最快的动物是什么？", "猎豹")),
-    ],
-    "history": [
-        _qa("pool-his-1", "history", "French Revolution", "year it began",
-            ("In which year did the French Revolution begin?", "1789"),
-            ("In welchem Jahr begann die Französische Revolution?", "1789"),
-            ("法国大革命是哪一年开始的？", "1789")),
-        _qa("pool-his-2", "history", "First World War", "year it began",
-            ("In which year did the First World War begin?", "1914"),
-            ("In welchem Jahr begann der Erste Weltkrieg?", "1914"),
-            ("第一次世界大战是哪一年开始的？", "1914")),
-        _qa("pool-his-3", "history", "penicillin", "discoverer",
-            ("Who discovered penicillin?", "Alexander Fleming"),
-            ("Wer entdeckte das Penizillin?", "Alexander Fleming"),
-            ("青霉素是谁发现的？", "亚历山大·弗莱明")),
-        _qa("pool-his-4", "history", "America", "year of first European landing",
-            ("In which year did Columbus first reach America?", "1492"),
-            ("In welchem Jahr erreichte Kolumbus erstmals Amerika?", "1492"),
-            ("哥伦布是哪一年首次到达美洲的？", "1492")),
-        _qa("pool-his-5", "history", "radio", "inventor",
-            ("Who invented the radio?", "Guglielmo Marconi"),
-            ("Wer erfand das Radio?", "Guglielmo Marconi"),
-            ("无线电是谁发明的？", "伽利尔摩·马可尼")),
-        _qa("pool-his-6", "history", "Mona Lisa", "painter",
-            ("Who painted the Mona Lisa?", "Leonardo da Vinci"),
-            ("Wer malte die Mona Lisa?", "Leonardo da Vinci"),
-            ("蒙娜丽莎是谁画的？", "列奥纳多·达·芬奇")),
-    ],
-    "timeliness": [
-        _qa("pool-tim-1", "timeliness", "FIFA World Cup", "most recent winner",
-            ("Which country won the most recent FIFA World Cup?", "Argentina"),
-            ("Welches Land gewann die letzte Fußball-Weltmeisterschaft?", "Argentinien"),
-            ("最近一届世界杯足球赛的冠军是哪个国家？", "阿根廷")),
-        _qa("pool-tim-2", "timeliness", "Olympic Games", "most recent winter host",
-            ("Which city hosted the most recent Winter Olympics?", "Beijing"),
-            ("Welche Stadt war zuletzt Gastgeber der Olympischen Winterspiele?", "Peking"),
-            ("最近一届冬奥会在哪座城市举办？", "北京")),
-        _qa("pool-tim-3", "timeliness", "Germany", "current chancellor",
-            ("Who is the chancellor of Germany?", "Olaf Scholz"),
-            ("Wer ist Bundeskanzler von Deutschland?", "Olaf Scholz"),
-            ("德国现任总理是谁？", "奥拉夫·朔尔茨")),
-        _qa("pool-tim-4", "timeliness", "France", "current president",
-            ("Who is the president of France?", "Emmanuel Macron"),
-            ("Wer ist Präsident von Frankreich?", "Emmanuel Macron"),
-            ("法国现任总统是谁？", "埃马纽埃尔·马克龙")),
-        _qa("pool-tim-5", "timeliness", "iPhone", "newest model line",
-            ("What is the newest iPhone generation?", "iPhone 15"),
-            ("Was ist die neueste iPhone-Generation?", "iPhone 15"),
-            ("最新一代iPhone是哪一款？", "iPhone 15")),
-        _qa("pool-tim-6", "timeliness", "United Kingdom", "current monarch",
-            ("Who is the monarch of the United Kingdom?", "Charles III"),
-            ("Wer ist Monarch des Vereinigten Königreichs?", "Charles III."),
-            ("英国现任君主是谁？", "查尔斯三世")),
-    ],
-}
-
-
 def mini_fixture() -> Dataset:
-    return Dataset(
-        languages=MINI_LANGUAGES,
-        qa_items=tuple(_GEO + _SCI + _HIS),
-        timeliness_items=tuple(_TIM),
-        few_shot_pool={k: tuple(v) for k, v in _POOL.items()},
-    )
-
-
-# how the canned model answers each QA cell: exact gt, a partial phrasing,
-# or a wrong decoy; anything not listed is exact
-_PARTIAL_TEMPLATES = {
-    "en": "It is {answer}.",
-    "de": "Es ist {answer}.",
-    "zh": "是{answer}。",
-}
-
-_QA_PLAN = {
-    ("en", "geo-08"): ("partial", None),
-    ("en", "sci-07"): ("wrong", "CO2"),
-    ("en", "his-03"): ("wrong", "1972"),
-    ("de", "geo-03"): ("partial", None),
-    ("de", "geo-06"): ("wrong", "Toronto"),
-    ("de", "sci-02"): ("partial", None),
-    ("de", "sci-05"): ("wrong", "Saturn"),
-    ("de", "his-05"): ("partial", None),
-    ("de", "his-08"): ("wrong", "Buzz Aldrin"),
-    ("zh", "geo-02"): ("partial", None),
-    ("zh", "geo-03"): ("wrong", "圣彼得堡"),
-    ("zh", "sci-04"): ("partial", None),
-    ("zh", "sci-07"): ("wrong", "二氧化碳"),
-    ("zh", "his-01"): ("wrong", "1905"),
-    ("zh", "his-06"): ("partial", None),
-}
-
-# which candidate rank (1 = newest) the canned model answers per language
-_TIM_PLAN = {
-    "en": {"tim-01": 1, "tim-02": 1, "tim-03": 2, "tim-04": 1},
-    "de": {"tim-01": 2, "tim-02": 1, "tim-03": 1, "tim-04": 2},
-    "zh": {"tim-01": 3, "tim-02": 2, "tim-03": 1, "tim-04": 3},
-}
+    return load_dataset(bundled_fixture_path())
 
 
 def mini_fixture_answers() -> dict[str, str]:
     """Canned answers for the mock endpoint, keyed by question text."""
-    dataset = mini_fixture()
-    answers: dict[str, str] = {}
-    for item in dataset.qa_items:
-        for lang in dataset.languages:
-            mode, decoy = _QA_PLAN.get((lang, item.id), ("exact", None))
-            gt = item.answers[lang]
-            if mode == "exact":
-                text = gt
-            elif mode == "partial":
-                text = _PARTIAL_TEMPLATES[lang].format(answer=gt)
-            else:
-                text = decoy
-            answers[item.questions[lang]] = text
-    for item in dataset.timeliness_items:
-        for lang in dataset.languages:
-            rank = _TIM_PLAN[lang][item.id]
-            answers[item.questions[lang]] = item.candidates[lang][rank - 1]
-    return answers
+    return json.loads(bundled_answers_path().read_text(encoding="utf-8"))
 
 
 def synthetic_corpus(

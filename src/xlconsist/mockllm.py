@@ -153,9 +153,9 @@ def main(argv=None) -> None:
     if args.answers:
         answers = json.loads(args.answers.read_text(encoding="utf-8"))
     else:
-        from .fixtures import bundled_answers_path
+        from .fixtures import mini_fixture_answers
 
-        answers = json.loads(bundled_answers_path().read_text(encoding="utf-8"))
+        answers = mini_fixture_answers()
 
     server = MockLLMServer(answers, port=args.port, latency=args.latency)
     print(f"mock chat endpoint on {server.url} ({len(answers)} canned answers)")

@@ -313,19 +313,58 @@ def test_out_of_range_setting_exits_two_and_writes_nothing(
     assert set(tmp_path.iterdir()) == before
 
 
-@pytest.mark.parametrize("command", ["score", "embed"])
+@pytest.mark.parametrize("command", ["score", "embed", "collect"])
 def test_endpoint_that_is_not_http_exits_two_and_writes_nothing(runner, tmp_path, command):
-    args = [command, "--dataset", str(bundled_fixture_path()), "--cache", str(tmp_path / "c.bin"),
-            "--provider-kind", "http", "--endpoint", "ftp://host/embed"]
+    endpoint = "ftp://host/chat" if command == "collect" else "ftp://host/embed"
+    args = [command, "--dataset", str(bundled_fixture_path()), "--endpoint", endpoint]
+    if command == "collect":
+        args += ["--out", str(tmp_path / "a.jsonl"), "--model", "m"]
+    else:
+        args += ["--cache", str(tmp_path / "c.bin"), "--provider-kind", "http"]
     if command == "score":
         args += ["--ground-truth", "--out-dir", str(tmp_path / "out")]
-    else:
+    elif command == "embed":
         args += ["--answers", str(_ground_truth_store(tmp_path / "gt.jsonl"))]
     before = set(tmp_path.iterdir())
     result = runner.invoke(cli, args)
     assert result.exit_code == 2, result.output
-    assert "endpoint 'ftp://host/embed' is not an http(s) URL" in result.output
+    assert f"endpoint '{endpoint}' is not an http(s) URL" in result.output
     assert set(tmp_path.iterdir()) == before
+
+
+def _without_item(line):
+    record = json.loads(line)
+    del record["item"]
+    return json.dumps(record)
+
+
+def _torn(line):
+    return line[: len(line) // 2]
+
+
+@pytest.mark.parametrize("command, broken, line, damage", [
+    ("score", "store", 5, _without_item),
+    ("embed", "store", 7, _torn),
+    ("embed", "dataset", 3, _torn),
+], ids=["score-record-without-item", "embed-torn-store-record", "embed-torn-dataset-record"])
+def test_malformed_input_file_exits_one_naming_its_line(
+    runner, tmp_path, command, broken, line, damage
+):
+    store = _ground_truth_store(tmp_path / "gt.jsonl")
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_bytes(bundled_fixture_path().read_bytes())
+    target = store if broken == "store" else dataset
+    lines = target.read_text(encoding="utf-8").split("\n")
+    lines[line - 1] = damage(lines[line - 1])
+    target.write_text("\n".join(lines), encoding="utf-8")
+    args = [command, "--dataset", str(dataset), "--answers", str(store),
+            "--cache", str(tmp_path / "v.bin")]
+    if command == "score":
+        args += ["--out-dir", str(tmp_path / "out")]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"line {line}:" in result.output
 
 
 def _collect_with_rate_limit(runner, tmp_path, value):

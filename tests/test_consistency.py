@@ -816,6 +816,22 @@ def test_parent_freezes_what_it_forks_until_the_workers_are_joined(monkeypatch):
     assert ("gc", 2) not in events[first_fork:end]
 
 
+def test_objects_the_caller_froze_stay_frozen(monkeypatch):
+    # gc.unfreeze is process-wide: build_report must not unfreeze what its
+    # caller froze before the call
+    dataset = mini_fixture()
+    answers = ground_truth_answers(dataset)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        build_report(answers, dataset, SpyEmbedder())
+        assert gc.get_freeze_count() >= frozen
+    finally:
+        gc.unfreeze()
+
+
 def test_cli_import_loads_no_multiprocessing():
     # the pool's modules load on the first pooled build_report, not with the package
     src = Path(consistency.__file__).resolve().parents[1]
@@ -880,20 +896,22 @@ def test_missing_cells_are_named_in_check_order():
 def test_build_report_calls_xsc_once_and_matches_the_public_metrics(
     monkeypatch, include_timeliness
 ):
+    # build_report hands the answers that xAC looked up to xsc's computation;
+    # count the items of each call
     dataset, answers = synthetic_run()
     calls = []
-    public_xsc = consistency.xsc
+    computed_xsc = consistency._xsc
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs)
-        return public_xsc(*args, **kwargs)
+    def counted(languages, columns, embedder):
+        calls.append(len(columns[0]))
+        return computed_xsc(languages, columns, embedder)
 
-    monkeypatch.setattr(consistency, "xsc", counted)
+    monkeypatch.setattr(consistency, "_xsc", counted)
     embedder = SpyEmbedder()
     report = build_report(answers, dataset, embedder, include_timeliness=include_timeliness,
                           xtc_mode=FORMULA, tau=0.3)
-    assert calls == [{"include_timeliness": include_timeliness}]
-    semantic = public_xsc(answers, dataset, embedder, include_timeliness=include_timeliness)
+    assert calls == [dataset.n_qa + (len(dataset.timeliness_items) if include_timeliness else 0)]
+    semantic = xsc(answers, dataset, embedder, include_timeliness=include_timeliness)
     accuracy = xac(answers, dataset, include_timeliness=include_timeliness)
     timeliness = xtc(answers, dataset, mode=FORMULA, tau=0.3)
     assert (report.xsc, report.xac, report.xtc) == (

@@ -20,8 +20,6 @@ from xlconsist.errors import AlignmentError, DatasetFormatError
 from xlconsist.fixtures import (
     CORPUS_SHAPE,
     TIMELINESS_SHAPE,
-    bundled_fixture_path,
-    load_bundled_fixture,
     mini_fixture,
     synthetic_corpus,
 )
@@ -201,11 +199,6 @@ def test_dataset_hash_stability(tmp_path):
     write_dataset(d, path)
     assert dataset_hash(load_dataset(path)) == h1
     assert dataset_hash(d.subset(["en", "de"])) != h1
-
-
-def test_bundled_fixture_matches_builder():
-    assert load_bundled_fixture() == mini_fixture()
-    assert bundled_fixture_path().exists()
 
 
 def test_synthetic_corpus_counts_row_for_row():
