@@ -18,7 +18,7 @@ import click
 import yaml
 
 from . import __version__
-from .answers import ground_truth_answers, load_answers
+from .answers import StoreReader, ground_truth_answers, load_answers
 from .collection import (
     VARIANTS,
     CollectionConfig,
@@ -33,6 +33,7 @@ from .consistency import (
     PairMatrix,
     build_report,
     correlate_matrices,
+    fork_cpus,
 )
 from .dataset import check_file, dataset_hash, load_dataset
 from .embedding import Embedder, EmbeddingProviderConfig, VectorCache
@@ -293,42 +294,49 @@ def score(config_path, dataset_path, answers_path, ground_truth, out_dir, cache_
     if not ground_truth:
         answers_path = _require_file(answers_path, "answers store")
 
-    dataset = _load_dataset(dataset_path, languages, config)
-
-    seed = int(_pick(seed, config, "seed", default=0))
+    # the store is parsed (in a child, when fork_cpus allows) while the
+    # dataset is parsed and hashed here; their errors are raised in that order
+    store = None if ground_truth else StoreReader(answers_path, fork=fork_cpus() > 0)
     try:
-        answers = ground_truth_answers(dataset) if ground_truth else load_answers(answers_path)
-    except XlconsistError as exc:
-        raise click.ClickException(str(exc))
+        try:
+            dataset = _load_dataset(dataset_path, languages, config)
+            digest = dataset_hash(dataset)
+            seed = int(_pick(seed, config, "seed", default=0))
+            if ground_truth:
+                answers = ground_truth_answers(dataset)
+            else:
+                answers = store.columns(dataset.languages, dataset.item_ids())
+        except XlconsistError as exc:
+            raise click.ClickException(str(exc))
 
-    provider = _provider_config(config, provider_kind, endpoint, dims, batch_size, seed)
-    cache = VectorCache(cache_path) if cache_path else None
-    embedder = Embedder(provider, cache)
+        provider = _provider_config(config, provider_kind, endpoint, dims, batch_size, seed)
+        cache = VectorCache(cache_path) if cache_path else None
+        embedder = Embedder(provider, cache)
 
-    try:
-        report = build_report(
-            answers,
-            dataset,
-            embedder,
-            _chrf_config(config),
-            xtc_mode=_pick(xtc_mode, config, "modes", "xtc_mode", default=PROSE),
-            tau=float(_pick(tau, config, "modes", "tau", default=0.0)),
-            include_timeliness=bool(
-                _pick(include_timeliness, config, "modes", "include_timeliness", default=False)
-            ),
-            # called while the chrF workers run, so the hash is off the serial path
-            provenance=lambda: {
-                "dataset_hash": dataset_hash(dataset),
-                "toolkit_version": __version__,
-                "seed": seed,
-            },
-        )
-    except (XlconsistError, ValueError) as exc:
-        raise click.ClickException(str(exc))
+        try:
+            report = build_report(
+                answers,
+                dataset,
+                embedder,
+                _chrf_config(config),
+                xtc_mode=_pick(xtc_mode, config, "modes", "xtc_mode", default=PROSE),
+                tau=float(_pick(tau, config, "modes", "tau", default=0.0)),
+                include_timeliness=bool(
+                    _pick(include_timeliness, config, "modes", "include_timeliness", default=False)
+                ),
+                provenance={"dataset_hash": digest, "toolkit_version": __version__, "seed": seed},
+            )
+        except (XlconsistError, ValueError) as exc:
+            raise click.ClickException(str(exc))
+        finally:
+            embedder.close()
+            if cache is not None:
+                cache.close()
     finally:
-        embedder.close()
-        if cache is not None:
-            cache.close()
+        # reaped only here: a child that has sent its reply exits (and
+        # unmaps its memory) while the report is built
+        if store is not None:
+            store.close()
 
     written = report.write_files(out_dir)
     click.echo(report.summary())

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .answers import AnswerSet
+from .answers import AnswerColumns, AnswerSet
 from .dataset import Dataset
 from .errors import LanguageMismatchError
 from .textmetrics import (
@@ -429,14 +429,14 @@ def xtc(
     return _rank_result(dataset.languages, vectors)
 
 
-def _chrf_workers(n_jobs: int) -> int:
-    """Worker processes for n_jobs chrF jobs: one per CPU in the affinity
-    mask, at most one per job; 0 (run inline) without fork or
-    sched_getaffinity, or with one CPU."""
+def fork_cpus() -> int:
+    """The CPUs a scoring pass forks processes onto: those in the affinity
+    mask, or 0 (run inline) without fork or sched_getaffinity, or with one
+    CPU. The one rule for the chrF workers and `score`'s store reader."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 0
     cpus = len(os.sched_getaffinity(0))
-    return min(cpus, n_jobs) if cpus > 1 else 0
+    return cpus if cpus > 1 else 0
 
 
 def _score_jobs(jobs, cfg: ChrfConfig, meanwhile):
@@ -447,7 +447,7 @@ def _score_jobs(jobs, cfg: ChrfConfig, meanwhile):
     __main__ or numpy, and the jobs reach the workers without pickling. A
     worker's exception is raised here.
     """
-    workers = _chrf_workers(len(jobs))
+    workers = min(fork_cpus(), len(jobs))  # one per CPU, at most one per job
     if not workers:
         result = meanwhile()
         return [_chrf_job(job, cfg) for job in jobs], result
@@ -681,7 +681,7 @@ class ConsistencyReport:
 
 
 def build_report(
-    answers: AnswerSet,
+    answers: AnswerSet | AnswerColumns,
     dataset: Dataset,
     embedder,
     chrf_cfg: ChrfConfig = DEFAULT_CHRF,
@@ -695,7 +695,8 @@ def build_report(
 
     The xAC and xTC chrF jobs run in worker processes while xSC runs here
     (see `_score_jobs`); xSC and xAC score the same items, so xSC reads
-    the answers that xAC looked up. `provenance` is merged into the
+    the answers that xAC looked up. `answers` is read through its header
+    fields and `columns` only. `provenance` is merged into the
     report's; when it is a callable, it is called here after xSC, while
     the workers still run."""
     languages = dataset.languages

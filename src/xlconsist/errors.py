@@ -6,6 +6,20 @@ from __future__ import annotations
 class XlconsistError(Exception):
     """Base class for all toolkit errors."""
 
+    def __reduce__(self):
+        # Exception's own reduce calls __init__ again with `args`, the
+        # formatted message, which a subclass's __init__ does not take;
+        # this one restores the message and attributes without calling it
+        return _restore, (type(self), self.args, self.__dict__)
+
+
+def _restore(cls, args, state):
+    """An unpickled XlconsistError: `args` and attributes as pickled."""
+    error = cls.__new__(cls)
+    error.args = args
+    error.__dict__.update(state)
+    return error
+
 
 class DatasetFormatError(XlconsistError):
     """A dataset file line could not be parsed or violates the schema."""

@@ -1,11 +1,18 @@
 """The answers store loader against a reference per-line loop."""
 
 import json
+import os
 
 import pytest
 
-from xlconsist.answers import AnswerSet, load_answers, write_answer_header
-from xlconsist.errors import DatasetFormatError
+from xlconsist.answers import (
+    AnswerColumns,
+    AnswerSet,
+    StoreReader,
+    load_answers,
+    write_answer_header,
+)
+from xlconsist.errors import DatasetFormatError, MissingAnswersError
 
 
 def record(lang, item, text, **extra):
@@ -136,3 +143,83 @@ def test_answer_with_a_unicode_line_separator_is_one_record(tmp_path, separator)
         handle.write(record("en", "q1", text) + "\n" + record("en", "q2", "x") + "\n")
     loaded = load_answers(path)
     assert loaded.answers == {("en", "q1"): text, ("en", "q2"): "x"}
+
+
+@pytest.mark.parametrize("fields", [
+    {"lang": 1, "item": None, "text": "a"},
+    {"lang": "en", "item": 7, "text": "a"},
+    {"lang": ["en"], "item": "q1", "text": "a"},
+    {"lang": "en", "item": "q1", "text": None},
+], ids=["int-lang-null-item", "int-item", "list-lang", "null-text"])
+def test_record_with_a_field_that_is_not_a_string_names_its_line(tmp_path, fields):
+    path = tmp_path / "a.jsonl"
+    path.write_text(header() + "\n" + CLEAN[0] + "\n" + json.dumps(fields) + "\n" + CLEAN[1]
+                    + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="needs string lang, item and text") as excinfo:
+        load_answers(path)
+    assert excinfo.value.line == 3
+
+
+# -- what scoring reads of a store, in a forked child or inline -----------------
+
+
+@pytest.fixture
+def clean_store(tmp_path):
+    path = tmp_path / "a.jsonl"
+    path.write_text(header() + "\n" + "\n".join(CLEAN) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+def test_reader_gives_the_columns_of_the_loaded_store(clean_store, fork):
+    languages, item_ids = ["ja", "en"], ["q1", "q2"]
+    reader = StoreReader(clean_store, fork=fork)
+    try:
+        columns = reader.columns(languages, item_ids)
+    finally:
+        reader.close()
+    assert columns == AnswerColumns.of(load_answers(clean_store), languages, item_ids)
+    assert (columns.run_id, columns.model_id, columns.seed, columns.dataset_hash) == (
+        "r", "m", 3, "abc")
+    assert columns.by_language == {"ja": [None, "東京"], "en": ["Lyon", "Café"]}
+    assert columns.columns(["en"], ["q2", "q1"]) == [["Café", "Lyon"]]
+
+
+@pytest.mark.parametrize("languages, item_ids", [
+    (["en", "de", "ja"], ["q1", "q2"]),
+    (["de"], ["q2"]),
+    (["en"], ["q1", "q2"]),
+])
+def test_columns_read_from_the_store_match_the_answer_set(clean_store, languages, item_ids):
+    def outcome(source):
+        try:
+            return source.columns(languages, item_ids)
+        except MissingAnswersError as exc:
+            return str(exc), exc.missing
+
+    loaded = load_answers(clean_store)
+    read = AnswerColumns.of(loaded, ["en", "de", "ja"], ["q1", "q2"])
+    assert outcome(read) == outcome(loaded)
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+def test_reader_raises_the_stores_error(tmp_path, fork):
+    path = tmp_path / "a.jsonl"
+    path.write_text(header() + "\n" + CLEAN[0] + '\n{"lang": "en", "raw"\n' + CLEAN[1] + "\n",
+                    encoding="utf-8")
+    reader = StoreReader(path, fork=fork)
+    try:
+        with pytest.raises(DatasetFormatError, match="invalid answer record") as excinfo:
+            reader.columns(["en"], ["q1"])
+    finally:
+        reader.close()
+    assert excinfo.value.line == 3
+
+
+def test_closing_a_reader_before_it_is_asked_ends_its_child(clean_store):
+    reader = StoreReader(clean_store, fork=True)
+    pid = reader._pid
+    reader.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)  # already reaped
+    reader.close()  # a second close does nothing
