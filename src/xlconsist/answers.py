@@ -12,18 +12,14 @@ line (crash mid-append) is dropped on load.
 
 from __future__ import annotations
 
-import gc
 import json
-import os
-import pickle
-import signal
 import unicodedata
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
 from .dataset import Dataset
-from .errors import DatasetFormatError, MissingAnswersError, XlconsistError
+from .errors import DatasetFormatError, MissingAnswersError
 
 ANSWERS_SCHEMA = "xlconsist-answers/1"
 
@@ -80,9 +76,9 @@ def _complete(languages, item_ids, columns):
 @dataclass
 class AnswerColumns:
     """What scoring reads of an answers store: its header fields and each
-    scored language's answers to the scored items, None where the store
-    has no answer. Scoring reads it as it reads an AnswerSet, through
-    those fields and `columns`."""
+    language's answers to the items read, None where the store has no
+    answer. Scoring reads it as it reads an AnswerSet, through those
+    fields and `columns`."""
 
     run_id: str
     model_id: str
@@ -119,10 +115,17 @@ class AnswerColumns:
         )
 
     def columns(self, languages, item_ids) -> list[list[str]]:
-        """As AnswerSet.columns, for languages and items among those read."""
-        position = dict(zip(self.item_ids, range(len(self.item_ids))))
-        at = list(map(position.__getitem__, item_ids))
-        columns = [list(map(self.by_language[lang].__getitem__, at)) for lang in languages]
+        """As AnswerSet.columns: a language or item that was not read has
+        no answers."""
+        end = len(self.item_ids)
+        position = dict(zip(self.item_ids, range(end)))
+        # an item that was not read points at the None past a column's end
+        at = [position.get(item_id, end) for item_id in item_ids]
+        lacking = [None] * end
+        columns = [
+            list(map([*self.by_language.get(lang, lacking), None].__getitem__, at))
+            for lang in languages
+        ]
         return _complete(languages, item_ids, columns)
 
 
@@ -249,91 +252,11 @@ def _odd_line(line: str, line_no: int, last: bool) -> dict | None:
     return record
 
 
-class StoreReader:
-    """An answers store read for scoring, in a forked child when `fork`.
-
-    The child starts here and runs `load_answers` while this process does
-    other work. `columns`, called once, then sends it the scored languages
-    and items, and it sends back their `AnswerColumns`, or the error that
-    loading raised, which `columns` raises; it is pickled, so no traceback
-    comes with it. Without `fork`, `columns` loads the store itself.
-    `close` reaps the child, killing it first in case it still runs (as
-    after an error before `columns`). A child that has sent its reply
-    exits on its own, so closing later, not right after `columns`, keeps
-    its exit off this process's path.
-    """
-
-    def __init__(self, path: str | Path, fork: bool):
-        self.path = path
-        self._pid = self._request = self._reply = None
-        if fork:
-            request_read, self._request = os.pipe()
-            self._reply, reply_write = os.pipe()
-            self._pid = os.fork()
-            if self._pid == 0:
-                status = 1
-                try:
-                    os.close(self._request)
-                    os.close(self._reply)
-                    _serve(path, request_read, reply_write)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(request_read)
-            os.close(reply_write)
-
-    def columns(self, languages, item_ids) -> AnswerColumns:
-        if self._pid is None:
-            return AnswerColumns.of(load_answers(self.path), languages, item_ids)
-        request, self._request = self._request, None
-        try:
-            with open(request, "wb") as stream:
-                pickle.dump((list(languages), list(item_ids)), stream, pickle.HIGHEST_PROTOCOL)
-        except BrokenPipeError:
-            pass  # the child is gone; its reply is read below
-        reply, self._reply = self._reply, None
-        with open(reply, "rb") as stream:
-            data = stream.read()
-        if not data:
-            raise XlconsistError(f"{self.path}: the answers store reader exited without a reply")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
-
-    def close(self) -> None:
-        for fd in (self._request, self._reply):
-            if fd is not None:
-                os.close(fd)
-        self._request = self._reply = None
-        if self._pid:
-            # the child has sent its reply and is exiting, or is not needed
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
-
-
-def _serve(path, request_fd: int, reply_fd: int) -> None:
-    """The store child's work: load the store, read the parent's request
-    and write the reply. An empty request (the parent closed its end
-    without one) asks for nothing."""
-    # no collection runs in the child: one would walk (and so copy the
-    # pages of) every object it inherited, and it makes no garbage that
-    # must be freed before it exits
-    gc.disable()
-    try:
-        answer_set = load_answers(path)
-    except Exception as exc:  # sent to the parent, which raises it
-        answer_set, error = None, exc
-    with open(request_fd, "rb") as stream:
-        request = stream.read()
-    if not request:
-        return
-    if answer_set is None:
-        reply = False, error
-    else:
-        reply = True, AnswerColumns.of(answer_set, *pickle.loads(request))
-    # pickled whole first, so that a failure here sends no partial reply
-    data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
-    with open(reply_fd, "wb") as stream:
-        stream.write(data)
+def store_columns(path: str | Path) -> AnswerColumns:
+    """The AnswerColumns of every language and item of the store at `path`,
+    in the order each is first stored."""
+    answer_set = load_answers(path)
+    cells = answer_set.answers
+    return AnswerColumns.of(
+        answer_set, dict.fromkeys(lang for lang, _ in cells), [item for _, item in cells]
+    )

@@ -18,7 +18,7 @@ import click
 import yaml
 
 from . import __version__
-from .answers import StoreReader, ground_truth_answers, load_answers
+from .answers import ground_truth_answers, load_answers, store_columns
 from .collection import (
     VARIANTS,
     CollectionConfig,
@@ -33,11 +33,11 @@ from .consistency import (
     PairMatrix,
     build_report,
     correlate_matrices,
-    fork_cpus,
 )
 from .dataset import check_file, dataset_hash, load_dataset
 from .embedding import Embedder, EmbeddingProviderConfig, VectorCache
 from .errors import XlconsistError
+from .forked import Forked
 from .textmetrics import ChrfConfig
 
 RUN_CONFIG_SCHEMA = "xlconsist-run/1"
@@ -83,6 +83,15 @@ def _load_dataset(path, languages, config):
         return dataset.subset(subset) if subset else dataset
     except XlconsistError as exc:
         raise click.ClickException(str(exc))
+
+
+def _seed(flag_value, config) -> int:
+    """--seed, else the config's `seed:`, else 0; exit 2 when not an integer."""
+    seed = _pick(flag_value, config, "seed", default=0)
+    try:
+        return int(seed)
+    except (TypeError, ValueError):
+        raise click.UsageError(f"seed must be an integer, got {seed!r}")
 
 
 def _provider_config(config, kind, endpoint, dims, batch_size, seed) -> EmbeddingProviderConfig:
@@ -236,7 +245,7 @@ def embed(config_path, dataset_path, answers_path, cache_path, provider_kind, en
         answers = load_answers(answers_path)
     except XlconsistError as exc:
         raise click.ClickException(str(exc))
-    seed = int(_pick(seed, config, "seed", default=0))
+    seed = _seed(seed, config)
 
     provider = _provider_config(config, provider_kind, endpoint, dims, batch_size, seed)
     if provider.kind == "cache-only":
@@ -296,19 +305,16 @@ def score(config_path, dataset_path, answers_path, ground_truth, out_dir, cache_
 
     # the store is parsed (in a child, when fork_cpus allows) while the
     # dataset is parsed and hashed here; their errors are raised in that order
-    store = None if ground_truth else StoreReader(answers_path, fork=fork_cpus() > 0)
+    store = None if ground_truth else Forked(store_columns, answers_path)
     try:
         try:
             dataset = _load_dataset(dataset_path, languages, config)
             digest = dataset_hash(dataset)
-            seed = int(_pick(seed, config, "seed", default=0))
-            if ground_truth:
-                answers = ground_truth_answers(dataset)
-            else:
-                answers = store.columns(dataset.languages, dataset.item_ids())
+            answers = ground_truth_answers(dataset) if ground_truth else store.result()
         except XlconsistError as exc:
             raise click.ClickException(str(exc))
 
+        seed = _seed(seed, config)
         provider = _provider_config(config, provider_kind, endpoint, dims, batch_size, seed)
         cache = VectorCache(cache_path) if cache_path else None
         embedder = Embedder(provider, cache)

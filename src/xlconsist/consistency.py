@@ -12,9 +12,11 @@ math.fsum over pairs ordered by language code, which makes scores
 bit-identical under any permutation of the dataset's language order.
 
 xAC and xTC score one chrF batch ("job") per language. `build_report`
-runs those jobs in forked worker processes, one per CPU in the affinity
-mask, while it computes xSC; each job's scores are the same wherever it
-runs, so the report does not depend on the worker count.
+splits those jobs into one share per CPU in the affinity mask (at most one
+per job), scores each share in a forked child (`forked.Forked`) while it
+computes xSC, and puts the scores back in job order; each job's scores
+are the same wherever it runs, so the report does not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -24,17 +26,16 @@ import gc
 import json
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .answers import AnswerColumns, AnswerSet
 from .dataset import Dataset
 from .errors import LanguageMismatchError
+from .forked import Forked, fork_cpus
 from .textmetrics import (
     ChrfConfig,
     DEFAULT_CHRF,
@@ -238,29 +239,9 @@ def _cosine_matrix(languages, cosines: np.ndarray, items: np.ndarray) -> PairMat
     return PairMatrix(languages, values)
 
 
-def _chrf_job(job, cfg: ChrfConfig) -> list[float]:
-    """chrF of one job's (hypotheses, references) pairs."""
-    hypotheses, references = job
-    return chrf_batch(hypotheses, references, cfg)
-
-
-# a worker process's jobs and config, set by _start_worker in that process
-_worker_jobs: tuple[list, ChrfConfig] | None = None
-
-
-def _start_worker(jobs, cfg: ChrfConfig) -> None:
-    """Pool initializer. The jobs arrive through fork, so only their
-    indices are pickled. gc.freeze makes the worker's collections skip
-    every object inherited from the parent, instead of writing to (and so
-    copying) their pages."""
-    global _worker_jobs
-    gc.freeze()
-    _worker_jobs = jobs, cfg
-
-
-def _worker_job(index: int) -> list[float]:
-    jobs, cfg = _worker_jobs
-    return _chrf_job(jobs[index], cfg)
+def _score_share(jobs, cfg: ChrfConfig) -> list[list[float]]:
+    """chrF of each job's (hypotheses, references) pairs."""
+    return [chrf_batch(hypotheses, references, cfg) for hypotheses, references in jobs]
 
 
 def _accuracy_jobs(answers: AnswerSet, dataset: Dataset, include_timeliness: bool):
@@ -295,7 +276,7 @@ def accuracy_vectors(
 ) -> dict[str, np.ndarray]:
     """Per-language chrF of each answer against its own-language ground truth."""
     _, jobs = _accuracy_jobs(answers, dataset, include_timeliness)
-    return _accuracy_vectors(dataset, [_chrf_job(job, chrf_cfg) for job in jobs])
+    return _accuracy_vectors(dataset, _score_share(jobs, chrf_cfg))
 
 
 def _accuracy_vectors(dataset: Dataset, scores) -> dict[str, np.ndarray]:
@@ -400,7 +381,7 @@ def timeliness_vectors(
     """Per-language timeliness score of each timeliness item; one chrF
     batch per language over every (answer, candidate) pair."""
     jobs = _timeliness_jobs(answers, dataset)
-    return _timeliness_vectors(dataset, [_chrf_job(job, chrf_cfg) for job in jobs], mode, tau)
+    return _timeliness_vectors(dataset, _score_share(jobs, chrf_cfg), mode, tau)
 
 
 def _timeliness_vectors(dataset: Dataset, scores, mode: str, tau: float) -> dict[str, np.ndarray]:
@@ -429,55 +410,37 @@ def xtc(
     return _rank_result(dataset.languages, vectors)
 
 
-def fork_cpus() -> int:
-    """The CPUs a scoring pass forks processes onto: those in the affinity
-    mask, or 0 (run inline) without fork or sched_getaffinity, or with one
-    CPU. The one rule for the chrF workers and `score`'s store reader."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 0
-    cpus = len(os.sched_getaffinity(0))
-    return cpus if cpus > 1 else 0
-
-
 def _score_jobs(jobs, cfg: ChrfConfig, meanwhile):
     """(chrF scores of every job, meanwhile()'s result).
 
-    With workers, the jobs run in forked worker processes while meanwhile()
-    runs here; fork, not spawn or forkserver, so no worker re-imports
-    __main__ or numpy, and the jobs reach the workers without pickling. A
-    worker's exception is raised here.
+    The jobs are split into one share per CPU that `fork_cpus` counts, at
+    most one per job; share w scores jobs[w::n], in a forked child while
+    meanwhile() runs here (inline, after it, without workers). The jobs
+    reach the children through fork, without pickling, and a child's
+    exception is raised here.
     """
-    workers = min(fork_cpus(), len(jobs))  # one per CPU, at most one per job
-    if not workers:
-        result = meanwhile()
-        return [_chrf_job(job, cfg) for job in jobs], result
+    workers = min(fork_cpus(), len(jobs))
+    n = max(1, workers)
     # frozen, the loaded corpus is skipped by this process's collections
-    # until the workers are joined, so none walks it (and copies its pages
-    # after the fork): not the full collection that the imports below
-    # often set off, nor any while the workers run. gc.unfreeze is
-    # process-wide, so a pass whose caller has frozen objects itself
-    # neither freezes nor unfreezes
-    freeze = gc.get_freeze_count() == 0
+    # until the workers are reaped, so none walks it (and copies its pages
+    # after the fork) while they run. gc.unfreeze is process-wide, so a
+    # pass whose caller has frozen objects itself neither freezes nor
+    # unfreezes
+    freeze = workers > 0 and gc.get_freeze_count() == 0
     if freeze:
         gc.freeze()
+    shares = []
     try:
-        # imported here, not at the top: `import xlconsist` (collect,
-        # validate) then loads no multiprocessing modules
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            workers, mp_context=context, initializer=_start_worker, initargs=(jobs, cfg)
-        ) as pool:
-            try:
-                futures = [pool.submit(_worker_job, index) for index in range(len(jobs))]
-                result = meanwhile()
-                return [future.result() for future in futures], result
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+        for w in range(n):
+            shares.append(Forked(_score_share, jobs[w::n], cfg))
+        result = meanwhile()
+        scores = [None] * len(jobs)
+        for w, share in enumerate(shares):
+            scores[w::n] = share.result()
+        return scores, result
     finally:
+        for share in shares:
+            share.close()
         if freeze:
             gc.unfreeze()
 
@@ -689,25 +652,19 @@ def build_report(
     xtc_mode: str = PROSE,
     tau: float = 0.0,
     include_timeliness: bool = False,
-    provenance: dict | Callable[[], dict] | None = None,
+    provenance: dict | None = None,
 ) -> ConsistencyReport:
     """Full scoring pass: all four metrics, matrices, per-domain table.
 
     The xAC and xTC chrF jobs run in worker processes while xSC runs here
     (see `_score_jobs`); xSC and xAC score the same items, so xSC reads
     the answers that xAC looked up. `answers` is read through its header
-    fields and `columns` only. `provenance` is merged into the
-    report's; when it is a callable, it is called here after xSC, while
-    the workers still run."""
+    fields and `columns` only. `provenance` is merged into the report's."""
     languages = dataset.languages
     scored, jobs = _accuracy_jobs(answers, dataset, include_timeliness)
     jobs += _timeliness_jobs(answers, dataset)
 
-    def meanwhile():
-        semantic = _xsc(languages, scored, embedder)
-        return semantic, provenance() if callable(provenance) else provenance
-
-    scores, (semantic, extra) = _score_jobs(jobs, chrf_cfg, meanwhile)
+    scores, semantic = _score_jobs(jobs, chrf_cfg, lambda: _xsc(languages, scored, embedder))
     split = len(languages)
     accuracy = _rank_result(languages, _accuracy_vectors(dataset, scores[:split]))
     timeliness = _rank_result(
@@ -736,8 +693,8 @@ def build_report(
         "tau": tau,
         "include_timeliness_in_xsc_xac": include_timeliness,
     }
-    if extra:
-        meta.update(extra)
+    if provenance:
+        meta.update(provenance)
 
     return ConsistencyReport(
         xsc=semantic.score,

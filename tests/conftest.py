@@ -21,10 +21,12 @@ DATA_DIR = Path(__file__).parent / "data"
 
 @pytest.fixture(autouse=True)
 def no_unreaped_child():
-    """Fail a test that leaves a child process exited but not waited for."""
+    """Fail a test that leaves a child process, running or exited but not
+    waited for."""
     yield
     try:
         pid, status = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
         return  # no child at all
-    assert pid == 0, f"child process {pid} was left un-reaped (wait status {status})"
+    assert pid != 0, "a child process was left running"
+    raise AssertionError(f"child process {pid} was left un-reaped (wait status {status})")

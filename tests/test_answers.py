@@ -8,11 +8,12 @@ import pytest
 from xlconsist.answers import (
     AnswerColumns,
     AnswerSet,
-    StoreReader,
     load_answers,
+    store_columns,
     write_answer_header,
 )
 from xlconsist.errors import DatasetFormatError, MissingAnswersError
+from xlconsist.forked import Forked
 
 
 def record(lang, item, text, **extra):
@@ -170,18 +171,28 @@ def clean_store(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+@pytest.fixture(params=["forked", "inline"])
+def fork(request, monkeypatch):
+    """Two CPUs in the affinity mask, so Forked forks, or one, so it runs inline."""
+    cpus = {0, 1} if request.param == "forked" else {0}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    return request.param == "forked"
+
+
 def test_reader_gives_the_columns_of_the_loaded_store(clean_store, fork):
-    languages, item_ids = ["ja", "en"], ["q1", "q2"]
-    reader = StoreReader(clean_store, fork=fork)
+    reader = Forked(store_columns, clean_store)
     try:
-        columns = reader.columns(languages, item_ids)
+        assert (reader._pid is not None) == fork
+        columns = reader.result()
     finally:
         reader.close()
-    assert columns == AnswerColumns.of(load_answers(clean_store), languages, item_ids)
+    assert columns == AnswerColumns.of(load_answers(clean_store), ["en", "de", "ja"],
+                                       ["q1", "q2"])
     assert (columns.run_id, columns.model_id, columns.seed, columns.dataset_hash) == (
         "r", "m", 3, "abc")
-    assert columns.by_language == {"ja": [None, "東京"], "en": ["Lyon", "Café"]}
+    assert columns.item_ids == ["q1", "q2"]
+    assert columns.by_language == {"en": ["Lyon", "Café"], "de": ["Paris", None],
+                                   "ja": [None, "東京"]}
     assert columns.columns(["en"], ["q2", "q1"]) == [["Café", "Lyon"]]
 
 
@@ -189,6 +200,8 @@ def test_reader_gives_the_columns_of_the_loaded_store(clean_store, fork):
     (["en", "de", "ja"], ["q1", "q2"]),
     (["de"], ["q2"]),
     (["en"], ["q1", "q2"]),
+    (["en", "fr"], ["q1"]),  # a language the store lacks
+    (["fr", "en", "ja"], ["q3", "q2"]),  # and an item
 ])
 def test_columns_read_from_the_store_match_the_answer_set(clean_store, languages, item_ids):
     def outcome(source):
@@ -198,26 +211,25 @@ def test_columns_read_from_the_store_match_the_answer_set(clean_store, languages
             return str(exc), exc.missing
 
     loaded = load_answers(clean_store)
-    read = AnswerColumns.of(loaded, ["en", "de", "ja"], ["q1", "q2"])
-    assert outcome(read) == outcome(loaded)
+    assert outcome(store_columns(clean_store)) == outcome(loaded)
 
 
-@pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
 def test_reader_raises_the_stores_error(tmp_path, fork):
     path = tmp_path / "a.jsonl"
     path.write_text(header() + "\n" + CLEAN[0] + '\n{"lang": "en", "raw"\n' + CLEAN[1] + "\n",
                     encoding="utf-8")
-    reader = StoreReader(path, fork=fork)
+    reader = Forked(store_columns, path)
     try:
         with pytest.raises(DatasetFormatError, match="invalid answer record") as excinfo:
-            reader.columns(["en"], ["q1"])
+            reader.result()
     finally:
         reader.close()
     assert excinfo.value.line == 3
 
 
-def test_closing_a_reader_before_it_is_asked_ends_its_child(clean_store):
-    reader = StoreReader(clean_store, fork=True)
+def test_closing_a_reader_before_it_is_asked_ends_its_child(clean_store, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    reader = Forked(store_columns, clean_store)
     pid = reader._pid
     reader.close()
     with pytest.raises(ChildProcessError):

@@ -289,8 +289,11 @@ def _ground_truth_store(path):
     ("collect", [], "collection:\n  max_attempts: 0\n", "max_attempts must be >= 1, got 0"),
     ("score", ["--dims", "0"], "", "expected_dims must be >= 1"),
     ("embed", ["--batch-size", "0"], "", "batch_size must be >= 1"),
+    ("collect", [], "seed: abc\n", "invalid literal for int() with base 10: 'abc'"),
+    ("score", [], "seed: abc\n", "seed must be an integer, got 'abc'"),
+    ("embed", [], "seed: abc\n", "seed must be an integer, got 'abc'"),
 ], ids=["concurrency", "rate-limit-0", "rate-limit-negative", "max-attempts", "dims",
-        "batch-size"])
+        "batch-size", "collect-seed", "score-seed", "embed-seed"])
 def test_out_of_range_setting_exits_two_and_writes_nothing(
     runner, tmp_path, command, args, config, shown
 ):

@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,7 +12,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from xlconsist import consistency
-from xlconsist.answers import AnswerSet, ground_truth_answers
+from xlconsist.answers import (
+    AnswerSet,
+    append_answer_record,
+    ground_truth_answers,
+    write_answer_header,
+)
 from xlconsist.consistency import (
     FORMULA,
     ConsistencyReport,
@@ -30,8 +34,13 @@ from xlconsist.consistency import (
 )
 from xlconsist.dataset import Dataset, QAItem, TimelinessItem
 from xlconsist.embedding import Embedder, EmbeddingProviderConfig
-from xlconsist.errors import LanguageMismatchError, MissingAnswersError
-from xlconsist.fixtures import mini_fixture, mini_fixture_answers, synthetic_corpus
+from xlconsist.errors import LanguageMismatchError, MissingAnswersError, XlconsistError
+from xlconsist.fixtures import (
+    bundled_fixture_path,
+    mini_fixture,
+    mini_fixture_answers,
+    synthetic_corpus,
+)
 from xlconsist.textmetrics import spearman_detailed
 
 from oracles import pearson_textbook, spearman_d2
@@ -644,20 +653,33 @@ def test_report_summary_mentions_degenerate_pairs():
     assert "degenerate" in report.summary()
 
 
-# -- xSC embedding and the chrF worker pool -------------------------------------
+# -- xSC embedding and the chrF workers ----------------------------------------
+
+# one entry per fork of this process, from the import of this module on
+FORKS = []
+os.register_at_fork(after_in_parent=lambda: FORKS.append(None))
+
+
+def assert_no_child():
+    """No child process of this one is left, running or un-reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class SpyEmbedder:
-    """Records every embed_batch call of a mock Embedder."""
+    """Records every embed_batch call of a mock Embedder, and the processes
+    forked since the embedder was made or last called (the chrF workers)."""
 
     def __init__(self, dims=16):
         self.inner = Embedder(EmbeddingProviderConfig(kind="mock", expected_dims=dims))
         self.calls = []
         self.workers_seen = []
+        self._forks = len(FORKS)
 
     def embed_batch(self, texts):
         self.calls.append(list(texts))
-        self.workers_seen.append(len(multiprocessing.active_children()))
+        self.workers_seen.append(len(FORKS) - self._forks)
+        self._forks = len(FORKS)
         return self.inner.embed_batch(texts)
 
     def describe(self):
@@ -702,28 +724,42 @@ def test_xsc_embeds_each_distinct_answer_once():
         np.testing.assert_array_equal(result.item_cosines[row], expected)
 
 
-def test_pool_and_inline_reports_are_byte_identical(monkeypatch):
+def test_worker_and_inline_reports_are_byte_identical(monkeypatch):
     dataset, answers = synthetic_run()
     embedder = SpyEmbedder()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    pooled = build_report(answers, dataset, embedder, xtc_mode=FORMULA, tau=0.3)
+    forked = build_report(answers, dataset, embedder, xtc_mode=FORMULA, tau=0.3)
     assert embedder.workers_seen == [3]
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     inline = build_report(answers, dataset, embedder, xtc_mode=FORMULA, tau=0.3)
     assert embedder.workers_seen == [3, 0]
-    assert pooled.to_json() == inline.to_json()
+    assert forked.to_json() == inline.to_json()
     assert inline.xac != 0.0 and inline.xtc != 0.0
 
 
-def test_pool_never_exceeds_one_worker_per_job(monkeypatch):
+def test_workers_never_exceed_one_per_job(monkeypatch):
     dataset, answers = synthetic_run(languages=("en", "de"))
     embedder = SpyEmbedder()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     build_report(answers, dataset, embedder)
     assert embedder.workers_seen == [4]  # two xAC jobs and two xTC jobs
-    assert multiprocessing.active_children() == []
+    assert_no_child()
+
+
+def test_worker_w_of_n_scores_every_nth_job_and_the_scores_come_back_in_job_order(
+    monkeypatch
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(consistency, "chrf_batch", lambda hyps, refs, cfg: [hyps[0], os.getpid()])
+    jobs = [([f"job {index}"], ["ref"]) for index in range(5)]
+    scores, _ = consistency._score_jobs(jobs, consistency.DEFAULT_CHRF, lambda: None)
+    assert [row[0] for row in scores] == [f"job {index}" for index in range(5)]
+    pids = [row[1] for row in scores]
+    assert pids[0] == pids[3] and pids[1] == pids[4]
+    assert len(set(pids)) == 3 and os.getpid() not in pids
+    assert_no_child()
 
 
 def test_worker_exception_propagates(monkeypatch):
@@ -737,7 +773,44 @@ def test_worker_exception_propagates(monkeypatch):
     with pytest.raises(RuntimeError, match="chrF failed in process") as excinfo:
         build_report(answers, dataset, SpyEmbedder())
     assert int(str(excinfo.value).split()[-1]) != os.getpid()  # raised in a worker
-    assert multiprocessing.active_children() == []
+    assert_no_child()
+
+
+def test_a_worker_that_dies_without_a_reply_is_an_error_and_is_reaped(monkeypatch):
+    dataset, answers = synthetic_run(languages=("en", "de"))
+    parent = os.getpid()
+
+    def dying_chrf(hypotheses, references, cfg):
+        assert os.getpid() != parent, "chrF ran in the test process"
+        os._exit(3)
+
+    monkeypatch.setattr(consistency, "chrf_batch", dying_chrf)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(
+        XlconsistError,
+        match=r"^the forked xlconsist\.consistency\._score_share exited without a reply "
+              r"\(exit code 3\)$",
+    ):
+        build_report(answers, dataset, SpyEmbedder())
+    assert_no_child()
+    assert gc.get_freeze_count() == 0
+
+
+def test_an_error_while_the_workers_run_leaves_no_child(monkeypatch):
+    dataset, answers = synthetic_run(languages=("en", "de"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    class FailingEmbedder(SpyEmbedder):
+        def embed_batch(self, texts):
+            super().embed_batch(texts)
+            raise RuntimeError("embedding failed")
+
+    embedder = FailingEmbedder()
+    with pytest.raises(RuntimeError, match="embedding failed"):
+        build_report(answers, dataset, embedder)
+    assert embedder.workers_seen == [2]
+    assert_no_child()
+    assert gc.get_freeze_count() == 0
 
 
 class CountsPickling(str):
@@ -749,24 +822,26 @@ class CountsPickling(str):
 
 
 def test_workers_take_their_jobs_through_fork_and_freeze_what_they_inherit(monkeypatch):
+    # each worker inherits the parent's frozen objects and runs with gc disabled
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(
-        consistency, "chrf_batch", lambda hyps, refs, cfg: [float(gc.get_freeze_count())]
+        consistency, "chrf_batch",
+        lambda hyps, refs, cfg: [float(gc.get_freeze_count()), float(gc.isenabled())],
     )
     jobs = [([CountsPickling("a")], ["b"])] * 3
     scores, result = consistency._score_jobs(jobs, consistency.DEFAULT_CHRF, lambda: "here")
     assert result == "here"
     assert CountsPickling.pickled == 0
-    assert len(scores) == 3 and all(row[0] > 0 for row in scores)
-    assert gc.get_freeze_count() == 0
-    assert multiprocessing.active_children() == []
+    assert len(scores) == 3 and all(row[0] > 0 and row[1] == 0.0 for row in scores)
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
+    assert_no_child()
 
 
 def test_parent_freezes_what_it_forks_until_the_workers_are_joined(monkeypatch):
     # gc.freeze() before the fork: while the workers run, this process's
     # collections skip the dataset and answers (a frozen object is in no
     # generation that gc.get_objects lists), and no full collection runs;
-    # once the pool is joined they are unfrozen
+    # once the workers are reaped they are unfrozen
     dataset, answers = synthetic_run()
     probe = dataset.qa_items[0]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -789,10 +864,14 @@ def test_parent_freezes_what_it_forks_until_the_workers_are_joined(monkeypatch):
             seen("embed")
             return super().embed_batch(texts)
 
-    def provenance():
-        seen("provenance")
-        return {}
+    computed_xsc = consistency._xsc
 
+    def xsc_then_seen(languages, columns, embedder):
+        semantic = computed_xsc(languages, columns, embedder)
+        seen("xsc done")
+        return semantic
+
+    monkeypatch.setattr(consistency, "_xsc", xsc_then_seen)
     os.register_at_fork(after_in_parent=after_fork)
     # reset the collector's counts, so no earlier test decides whether a full
     # collection falls due in the pass below
@@ -800,7 +879,7 @@ def test_parent_freezes_what_it_forks_until_the_workers_are_joined(monkeypatch):
     gc.callbacks.append(on_gc)
     recording.append(True)
     try:
-        build_report(answers, dataset, FreezeSpy(), provenance=provenance)
+        build_report(answers, dataset, FreezeSpy())
     finally:
         recording.clear()
         gc.callbacks.remove(on_gc)
@@ -808,10 +887,10 @@ def test_parent_freezes_what_it_forks_until_the_workers_are_joined(monkeypatch):
     assert any(obj is probe for obj in gc.get_objects())
     kinds = [event[0] for event in events]
     assert kinds.count("fork") == 2
-    first_fork, end = kinds.index("fork"), kinds.index("provenance")
+    first_fork, end = kinds.index("fork"), kinds.index("xsc done")
     assert first_fork < kinds.index("embed") < end
     for event in events:
-        if event[0] in ("embed", "provenance"):
+        if event[0] in ("embed", "xsc done"):
             assert event[1] > 0 and not event[2], event
     assert ("gc", 2) not in events[first_fork:end]
 
@@ -832,17 +911,43 @@ def test_objects_the_caller_froze_stay_frozen(monkeypatch):
         gc.unfreeze()
 
 
-def test_cli_import_loads_no_multiprocessing():
-    # the pool's modules load on the first pooled build_report, not with the package
+SCORE = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(None))
+from xlconsist.cli import cli
+try:
+    cli.main(args=sys.argv[1:], prog_name="xlconsist")
+except SystemExit as exc:
+    if exc.code:
+        raise
+print(len(forks), *sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
+"""
+
+
+def test_forked_score_loads_no_multiprocessing(tmp_path):
+    # score forks its store child and chrF workers itself, with no process pool
+    truth = ground_truth_answers(mini_fixture())
+    store = tmp_path / "answers.jsonl"
+    write_answer_header(store, truth)
+    with open(store, "a", encoding="utf-8") as handle:
+        for (lang, item_id), text in truth.answers.items():
+            append_answer_record(handle, lang, item_id, text, text, "ok", 1)
     src = Path(consistency.__file__).resolve().parents[1]
-    code = "import sys, xlconsist.cli; sys.exit('multiprocessing' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True, text=True
+        [sys.executable, "-c", SCORE, "score", "--dataset", str(bundled_fixture_path()),
+         "--answers", str(store), "--out-dir", str(tmp_path / "out"),
+         "--provider-kind", "mock", "--dims", "16"],
+        env={"PYTHONPATH": str(src)}, capture_output=True, text=True,
     )
-    assert result.returncode == 0, result.stderr or "xlconsist.cli imported multiprocessing"
+    assert result.returncode == 0, result.stderr
+    # the store child and two chrF workers, and neither module
+    assert result.stdout.splitlines()[-1] == "3"
+    assert (tmp_path / "out" / "report.json").is_file()
 
 
-# -- build_report: answers looked up once, provenance while the workers run ----
+# -- build_report: answers looked up once -------------------------------------
 
 
 def without(answers, *cells):
@@ -864,7 +969,7 @@ def test_missing_qa_cell_is_refused_before_embedding(include_timeliness):
                      include_timeliness=include_timeliness)
     assert str(excinfo.value) == f"1 answers missing: de/{item}"
     assert embedder.calls == []
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 @pytest.mark.parametrize("include_timeliness", [False, True])
@@ -919,19 +1024,3 @@ def test_build_report_calls_xsc_once_and_matches_the_public_metrics(
     )
     assert report.matrices["xsc"].to_jsonable() == semantic.matrix.to_jsonable()
     assert report.matrices["xac"].to_jsonable() == accuracy.matrix.to_jsonable()
-
-
-def test_provenance_callable_runs_while_the_workers_run(monkeypatch):
-    dataset, answers = synthetic_run(languages=("en", "de"))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    workers = []
-
-    def provenance():
-        workers.append(len(multiprocessing.active_children()))
-        return {"note": "late", "seed": 5}
-
-    report = build_report(answers, dataset, SpyEmbedder(), provenance=provenance)
-    assert workers == [2]
-    assert report.provenance["note"] == "late" and report.provenance["seed"] == 5
-    eager = build_report(answers, dataset, SpyEmbedder(), provenance={"note": "late", "seed": 5})
-    assert eager.to_json() == report.to_json()
