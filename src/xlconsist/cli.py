@@ -107,6 +107,14 @@ def _provider_config(config, kind, endpoint, dims, batch_size, seed) -> Embeddin
         raise click.UsageError(str(exc))
 
 
+def _open_cache(path) -> VectorCache:
+    """The vector cache at `path`; exit 1 with one line when it cannot be used."""
+    try:
+        return VectorCache(path)
+    except (XlconsistError, OSError) as exc:
+        raise click.ClickException(str(exc))
+
+
 def _chrf_config(config) -> ChrfConfig:
     section = config.get("chrf", {}) if isinstance(config, dict) else {}
     return ChrfConfig(
@@ -259,10 +267,12 @@ def embed(config_path, dataset_path, answers_path, cache_path, provider_kind, en
             if (lang, item_id) in answers.answers
         }
     )
-    with VectorCache(cache_path) as cache:
+    with _open_cache(cache_path) as cache:
         embedder = Embedder(provider, cache)
         try:
             embedder.embed_batch(texts)
+        except XlconsistError as exc:
+            raise click.ClickException(str(exc))
         finally:
             embedder.close()
         click.echo(
@@ -316,7 +326,7 @@ def score(config_path, dataset_path, answers_path, ground_truth, out_dir, cache_
 
         seed = _seed(seed, config)
         provider = _provider_config(config, provider_kind, endpoint, dims, batch_size, seed)
-        cache = VectorCache(cache_path) if cache_path else None
+        cache = _open_cache(cache_path) if cache_path else VectorCache()
         embedder = Embedder(provider, cache)
 
         try:
@@ -336,8 +346,7 @@ def score(config_path, dataset_path, answers_path, ground_truth, out_dir, cache_
             raise click.ClickException(str(exc))
         finally:
             embedder.close()
-            if cache is not None:
-                cache.close()
+            cache.close()
     finally:
         # reaped only here: a child that has sent its reply exits (and
         # unmaps its memory) while the report is built

@@ -10,23 +10,20 @@ Bearer auth is read from an environment variable (config `token_env`).
 
 Cache file layout (little-endian, append-only):
 
-    magic   b"XLCVEC1\\n"
-    record  b"R" + sha256(32 raw bytes) + u32 dims + dims * f32
-    index   b"I" + u64 count + count * (key 32 + u64 record offset)
-            + u64 index offset + b"XLCFTR1\\n"
+    magic   b"XLCVEC2\\n"
+    dims    u32, written with the first record
+    record  sha256(32 raw bytes) + dims * f32, repeated
 
-Records are appended as they arrive; a fresh index block is appended on
-clean close, unless the file already ends with the index of every record
-(nothing was appended since a footer was read). Reopening checks for a
-trailing footer (fast path) and falls back to a full scan that skips
-stale interior index blocks and tolerates a truncated final record, so a
-crashed run never loses committed vectors.
+Every record has the same size, so opening reads the file once and views
+the records as one array. A crash can leave only a torn final record, the
+bytes past the last whole one; they are ignored, and cut off before the
+next append. Without a path the same cache lives in memory only.
 """
 
 from __future__ import annotations
 
 import hashlib
-import mmap
+import os
 import struct
 import threading
 import time
@@ -36,11 +33,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CacheMissError, DimensionMismatchError, ProviderError
+from .errors import CacheFormatError, CacheMissError, DimensionMismatchError, ProviderError
 from .transport import RETRY_ERRORS, RetryPolicy, Transport, is_http_url
 
-_FILE_MAGIC = b"XLCVEC1\n"
-_FOOTER_MAGIC = b"XLCFTR1\n"
+_FILE_MAGIC = b"XLCVEC2\n"
+_V1_MAGIC = b"XLCVEC1\n"
+_HEADER_BYTES = len(_FILE_MAGIC) + 4
 _KEY_BYTES = 32
 
 
@@ -55,157 +53,112 @@ def _digest(normalized: str) -> str:
 
 
 class VectorCache:
-    """Persistent key -> float32 vector store; many readers, one writer."""
+    """Key -> float32 vector store of one size, in a file or, with no path,
+    in memory; many readers, one writer. The first write of a key wins."""
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._lock = threading.RLock()
-        self._offsets: dict[bytes, int] = {}  # key -> offset of the record tag
-        self._closed = False
-        # close() writes an index only when the file's last one is missing or stale
-        self._index_stale = False
+    def __init__(self, path: str | Path | None = None):
+        self.path = None if path is None else Path(path)
+        self.dims: int | None = None  # fixed by the first vector
+        self._lock = threading.Lock()
+        self._rows: dict[bytes, int] = {}  # key -> row of _matrix
+        self._matrix = np.zeros((0, 0), dtype="<f4")
+        self._size = 0  # rows of _matrix in use
+        self._end = len(_FILE_MAGIC)  # end of the last whole record
+        self._file = None  # opened by the first append
+        if self.path is None:
+            return
         if self.path.exists() and self.path.stat().st_size > 0:
-            self._load_existing()
+            self._load()
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "wb") as handle:
-                handle.write(_FILE_MAGIC)
-        self._append = open(self.path, "ab")
-        self._read = open(self.path, "rb")
+            self.path.write_bytes(_FILE_MAGIC)
 
-    # -- loading ----------------------------------------------------------
-
-    def _load_existing(self):
-        with open(self.path, "rb") as handle:
-            if handle.read(len(_FILE_MAGIC)) != _FILE_MAGIC:
-                raise ValueError(f"{self.path} is not a vector cache file")
-            size = self.path.stat().st_size
-            if self._try_footer(handle, size):
-                return
-            self._full_scan(handle, size)
-
-    def _try_footer(self, handle, size) -> bool:
-        if size < len(_FILE_MAGIC) + 17:
-            return False
-        handle.seek(size - 16)
-        tail = handle.read(16)
-        if tail[8:] != _FOOTER_MAGIC:
-            return False
-        (index_offset,) = struct.unpack("<Q", tail[:8])
-        if index_offset >= size - 16:
-            return False
-        handle.seek(index_offset)
-        if handle.read(1) != b"I":
-            return False
-        (count,) = struct.unpack("<Q", handle.read(8))
-        expected_end = index_offset + 1 + 8 + count * (_KEY_BYTES + 8) + 16
-        if expected_end != size:
-            return False  # records were appended after this footer
-        for _ in range(count):
-            entry = handle.read(_KEY_BYTES + 8)
-            key = entry[:_KEY_BYTES]
-            (offset,) = struct.unpack("<Q", entry[_KEY_BYTES:])
-            self._offsets[key] = offset
-        return True
-
-    def _full_scan(self, handle, size):
-        self._index_stale = True
-        pos = len(_FILE_MAGIC)
-        while pos < size:
-            handle.seek(pos)
-            tag = handle.read(1)
-            if tag == b"R":
-                header = handle.read(_KEY_BYTES + 4)
-                if len(header) < _KEY_BYTES + 4:
-                    break  # truncated record tail, drop it
-                key = header[:_KEY_BYTES]
-                (dims,) = struct.unpack("<I", header[_KEY_BYTES:])
-                end = pos + 1 + _KEY_BYTES + 4 + dims * 4
-                if end > size:
-                    break
-                self._offsets[key] = pos
-                pos = end
-            elif tag == b"I":
-                raw = handle.read(8)
-                if len(raw) < 8:
-                    break
-                (count,) = struct.unpack("<Q", raw)
-                pos += 1 + 8 + count * (_KEY_BYTES + 8) + 16
-            else:
-                break  # unknown or torn tag; ignore the tail
-
-    # -- access -----------------------------------------------------------
+    def _load(self):
+        data = self.path.read_bytes()
+        if data.startswith(_V1_MAGIC):
+            raise CacheFormatError(
+                f"{self.path} is an old-format (XLCVEC1) vector cache; "
+                "re-run `xlconsist embed` to rebuild it"
+            )
+        if not data.startswith(_FILE_MAGIC):
+            raise CacheFormatError(f"{self.path} is not a vector cache file")
+        if len(data) < _HEADER_BYTES:
+            return  # no record yet, or a torn first one
+        (self.dims,) = struct.unpack_from("<I", data, len(_FILE_MAGIC))
+        record = _KEY_BYTES + 4 * self.dims
+        self._size = (len(data) - _HEADER_BYTES) // record
+        self._end = _HEADER_BYTES + self._size * record
+        layout = np.dtype([("key", f"V{_KEY_BYTES}"), ("vector", "<f4", (self.dims,))])
+        self._matrix = np.frombuffer(data, layout, self._size, _HEADER_BYTES)["vector"]
+        for row, start in enumerate(range(_HEADER_BYTES, self._end, record)):
+            self._rows.setdefault(data[start : start + _KEY_BYTES], row)
 
     def __len__(self):
-        return len(self._offsets)
+        return len(self._rows)
 
     def __contains__(self, key: str) -> bool:
-        return bytes.fromhex(key) in self._offsets
+        return bytes.fromhex(key) in self._rows
 
     def keys(self) -> set[str]:
-        return {key.hex() for key in self._offsets}
+        return {key.hex() for key in self._rows}
 
-    def get(self, key: str) -> np.ndarray | None:
-        offset = self._offsets.get(bytes.fromhex(key))
-        if offset is None:
-            return None
-        with self._lock:
-            self._read.seek(offset + 1 + _KEY_BYTES)
-            (dims,) = struct.unpack("<I", self._read.read(4))
-            payload = self._read.read(dims * 4)
-        return np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    def _refuse(self, wanted: str):
+        where = "the in-memory cache" if self.path is None else str(self.path)
+        raise DimensionMismatchError(f"{where} holds {self.dims}-dim vectors, {wanted}")
 
     def gather(self, keys: list[str], dims: int) -> np.ndarray:
         """The vectors stored under `keys`, one row each, shape (len(keys), dims).
 
-        One pass over a read-only map of the file reads only the needed
-        records. An absent key raises CacheMissError; a record of another
-        size raises DimensionMismatchError naming its key and both sizes.
+        A cache of another size raises DimensionMismatchError naming both
+        sizes; an absent key raises CacheMissError.
         """
-        offsets = [self._offsets.get(bytes.fromhex(key)) for key in keys]
-        missing = [key for key, offset in zip(keys, offsets) if offset is None]
-        if missing:
-            raise CacheMissError(missing)
-        width = 4 * dims
-        payloads = []
-        with self._lock, mmap.mmap(self._read.fileno(), 0, access=mmap.ACCESS_READ) as view:
-            for key, offset in zip(keys, offsets):
-                start = offset + 1 + _KEY_BYTES
-                (stored,) = struct.unpack_from("<I", view, start)
-                if stored != dims:
-                    raise DimensionMismatchError(
-                        f"cached vector {key} has {stored} dims, expected {dims}"
-                    )
-                payloads.append(view[start + 4 : start + 4 + width])
-        rows = np.frombuffer(b"".join(payloads), dtype="<f4").astype(np.float64)
-        return rows.reshape(len(keys), dims)
+        with self._lock:
+            if self.dims not in (None, dims):
+                self._refuse(f"expected {dims}")
+            rows = [self._rows.get(bytes.fromhex(key)) for key in keys]
+            missing = [key for key, row in zip(keys, rows) if row is None]
+            if missing:
+                raise CacheMissError(missing)
+            if not rows:
+                return np.zeros((0, dims))
+            return self._matrix[rows].astype(np.float64)
 
     def put(self, key: str, vector) -> None:
         raw = bytes.fromhex(key)
+        values = np.asarray(vector, dtype="<f4")
         with self._lock:
-            if raw in self._offsets:
+            if raw in self._rows:
                 return  # content-addressed: first write wins
-            values = np.asarray(vector, dtype="<f4")
-            offset = self._append.tell()
-            self._append.write(b"R" + raw + struct.pack("<I", len(values)) + values.tobytes())
-            self._append.flush()
-            self._offsets[raw] = offset
-            self._index_stale = True
+            record = raw + values.tobytes()
+            if self.dims is None:
+                self.dims = len(values)
+                self._matrix = np.zeros((0, self.dims), dtype="<f4")
+                record = struct.pack("<I", self.dims) + record
+            elif len(values) != self.dims:
+                self._refuse(f"not {len(values)}")
+            if self.path is not None:
+                self._append(record)
+            if self._size == len(self._matrix):
+                grown = np.empty((max(64, 2 * self._size), self.dims), dtype="<f4")
+                grown[: self._size] = self._matrix
+                self._matrix = grown
+            self._matrix[self._size] = values
+            self._rows[raw] = self._size
+            self._size += 1
+
+    def _append(self, record: bytes) -> None:
+        if self._file is None:
+            if self.path.stat().st_size > self._end:
+                os.truncate(self.path, self._end)  # cut a torn final record
+            self._file = open(self.path, "ab")
+        self._file.write(record)
+        self._file.flush()
 
     def close(self) -> None:
         with self._lock:
-            if self._closed:
-                return
-            if self._index_stale:
-                index_offset = self._append.tell()
-                self._append.write(b"I" + struct.pack("<Q", len(self._offsets)))
-                for key, offset in self._offsets.items():
-                    self._append.write(key + struct.pack("<Q", offset))
-                self._append.write(struct.pack("<Q", index_offset) + _FOOTER_MAGIC)
-                self._append.flush()
-            self._append.close()
-            self._read.close()
-            self._closed = True
+            if self._file is not None:
+                self._file.close()
+                self._file = None
 
     def __enter__(self):
         return self
@@ -323,32 +276,6 @@ def make_provider(cfg: EmbeddingProviderConfig):
     return HTTPProvider(cfg)
 
 
-class _DictCache:
-    """Ephemeral stand-in when no on-disk cache is configured."""
-
-    def __init__(self):
-        self._data: dict[str, np.ndarray] = {}
-
-    def __contains__(self, key):
-        return key in self._data
-
-    def gather(self, keys, dims):
-        """Same contract as VectorCache.gather."""
-        rows = [self._data.get(key) for key in keys]
-        missing = [key for key, row in zip(keys, rows) if row is None]
-        if missing:
-            raise CacheMissError(missing)
-        for key, row in zip(keys, rows):
-            if len(row) != dims:
-                raise DimensionMismatchError(
-                    f"cached vector {key} has {len(row)} dims, expected {dims}"
-                )
-        return np.array(rows, dtype=np.float64).reshape(len(keys), dims)
-
-    def put(self, key, vector):
-        self._data.setdefault(key, np.asarray(vector, dtype=np.float64))
-
-
 @dataclass
 class Embedder:
     """Batches texts through a provider with a write-through cache.
@@ -360,14 +287,12 @@ class Embedder:
     """
 
     config: EmbeddingProviderConfig
-    cache: VectorCache | _DictCache | None = None
+    cache: VectorCache = field(default_factory=VectorCache)
     fetched_texts: int = 0
     _provider: object = field(init=False, repr=False)
     _lock: threading.Lock = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.cache is None:
-            self.cache = _DictCache()
         self._provider = make_provider(self.config)
         self._lock = threading.Lock()
 

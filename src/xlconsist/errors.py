@@ -39,6 +39,10 @@ class DimensionMismatchError(XlconsistError):
     """An embedding vector, fetched or cached, has an unexpected dimension."""
 
 
+class CacheFormatError(XlconsistError, ValueError):
+    """A vector cache file is not in the current format."""
+
+
 class CacheMissError(XlconsistError):
     """A cache-only embedding run hit texts that are not in the cache."""
 

@@ -9,6 +9,7 @@ the route they verify.
 from __future__ import annotations
 
 import re
+import struct
 import unicodedata
 
 
@@ -129,3 +130,27 @@ def pearson_textbook(x, y):
         vx += (xi - mx) ** 2
         vy += (yi - my) ** 2
     return cov / (vx * vy) ** 0.5
+
+
+def read_vector_cache(path):
+    """Every vector of a version-2 vector cache file, as {hex key: [floats]}.
+
+    A struct loop over the raw bytes: b"XLCVEC2\\n", u32 dims, then records
+    of a 32-byte key and dims little-endian f32. Bytes past the last whole
+    record are ignored, and the first record of a key wins.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    assert data[:8] == b"XLCVEC2\n", "not a version-2 vector cache"
+    vectors = {}
+    if len(data) < 12:
+        return vectors
+    (dims,) = struct.unpack("<I", data[8:12])
+    size = 32 + 4 * dims
+    pos = 12
+    while pos + size <= len(data):
+        key = data[pos : pos + 32].hex()
+        if key not in vectors:
+            vectors[key] = list(struct.unpack("<%df" % dims, data[pos + 32 : pos + size]))
+        pos += size
+    return vectors

@@ -1,4 +1,5 @@
 import json
+import socket
 
 import pytest
 from click.testing import CliRunner
@@ -186,6 +187,74 @@ def test_cache_only_without_prefetch_fails(runner, tmp_path):
     ])
     assert result.exit_code == 1
     assert "missing from cache" in result.output
+
+
+def test_score_without_a_cache_writes_the_cached_report(runner, tmp_path):
+    # both runs keep float32 vectors, in the file or in memory
+    answers, cached = run_pipeline(runner, tmp_path, "cached")
+    result = runner.invoke(cli, [
+        "score", "--dataset", str(bundled_fixture_path()), "--answers", str(answers),
+        "--out-dir", str(tmp_path / "uncached"), "--provider-kind", "mock",
+        "--dims", "48", "--seed", "11",
+    ])
+    assert result.exit_code == 0, result.output
+    golden = (DATA_DIR / "golden_report.json").read_bytes()
+    assert cached.read_bytes() == golden
+    assert (tmp_path / "uncached" / "report.json").read_bytes() == golden
+
+
+def _one_line_error(result, *shown):
+    """`result` exited 1 with one error line holding each of `shown`."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception  # no traceback
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+    for text in shown:
+        assert text in lines[0]
+
+
+@pytest.mark.parametrize("content, shown", [
+    (b"something else entirely", "is not a vector cache file"),
+    (b"XLCVEC1\n", "re-run `xlconsist embed`"),
+], ids=["foreign", "version-1"])
+def test_score_with_a_cache_it_cannot_read_exits_one(runner, tmp_path, content, shown):
+    cache = tmp_path / "c.bin"
+    cache.write_bytes(content)
+    result = runner.invoke(cli, [
+        "score", "--dataset", str(bundled_fixture_path()), "--ground-truth",
+        "--out-dir", str(tmp_path / "out"), "--cache", str(cache), "--provider-kind", "mock",
+    ])
+    _one_line_error(result, str(cache), shown)
+    assert cache.read_bytes() == content
+    assert not (tmp_path / "out").exists()
+
+
+def _embed_args(tmp_path, *extra):
+    return [
+        "embed", "--dataset", str(bundled_fixture_path()),
+        "--answers", str(_ground_truth_store(tmp_path / "gt.jsonl")),
+        "--cache", str(tmp_path / "c.bin"), *extra,
+    ]
+
+
+def test_embed_into_a_cache_of_another_size_exits_one(runner, tmp_path):
+    result = runner.invoke(cli, _embed_args(tmp_path, "--provider-kind", "mock", "--dims", "48"))
+    assert result.exit_code == 0, result.output
+    written = (tmp_path / "c.bin").read_bytes()
+    result = runner.invoke(cli, _embed_args(tmp_path, "--provider-kind", "mock", "--dims", "64"))
+    _one_line_error(result, str(tmp_path / "c.bin"), "48", "64")
+    assert (tmp_path / "c.bin").read_bytes() == written
+
+
+def test_embed_from_an_unreachable_endpoint_exits_one(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr("xlconsist.embedding.time.sleep", lambda seconds: None)
+    with socket.socket() as probe:  # a port that nothing listens on once closed
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    result = runner.invoke(cli, _embed_args(
+        tmp_path, "--provider-kind", "http", "--endpoint", f"http://127.0.0.1:{port}/embed",
+    ))
+    _one_line_error(result, "embedding endpoint request failed after 3 attempts")
 
 
 # -- report / correlate ----------------------------------------------------------

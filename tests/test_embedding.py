@@ -1,12 +1,16 @@
 import json
+import subprocess
+import sys
 import threading
 import time
 import unicodedata
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from xlconsist import embedding
 from xlconsist.embedding import (
     Embedder,
     EmbeddingProviderConfig,
@@ -16,10 +20,13 @@ from xlconsist.embedding import (
 )
 from xlconsist.errors import (
     AuthenticationError,
+    CacheFormatError,
     CacheMissError,
     DimensionMismatchError,
     ProviderError,
 )
+
+from oracles import read_vector_cache
 
 
 # -- cache_key --------------------------------------------------------------
@@ -41,17 +48,22 @@ def test_cache_key_nfc_equivalence():
 
 # -- VectorCache ------------------------------------------------------------
 
+def _stored(cache, keys):
+    """The cache's rows for `keys`, as {key: [floats]}."""
+    return {key: row.tolist() for key, row in zip(keys, cache.gather(keys, cache.dims))}
+
+
 def test_cache_round_trip(tmp_path):
     path = tmp_path / "vectors.bin"
     vectors = {cache_key(f"text {i}"): np.linspace(0, i, 7) for i in range(20)}
     with VectorCache(path) as cache:
         for key, vector in vectors.items():
             cache.put(key, vector)
+    expected = {key: vector.astype(np.float32).tolist() for key, vector in vectors.items()}
+    assert read_vector_cache(path) == expected
     with VectorCache(path) as cache:
         assert cache.keys() == set(vectors)
-        for key, vector in vectors.items():
-            stored = cache.get(key)
-            np.testing.assert_array_equal(stored, vector.astype(np.float32).astype(np.float64))
+        assert _stored(cache, list(vectors)) == expected
 
 
 def test_cache_reopen_append_reopen(tmp_path):
@@ -60,31 +72,47 @@ def test_cache_reopen_append_reopen(tmp_path):
         cache.put(cache_key("a"), [1.0, 2.0])
     with VectorCache(path) as cache:
         cache.put(cache_key("b"), [3.0, 4.0])
+    expected = {cache_key("a"): [1.0, 2.0], cache_key("b"): [3.0, 4.0]}
+    assert read_vector_cache(path) == expected
     with VectorCache(path) as cache:
         assert len(cache) == 2
-        np.testing.assert_array_equal(cache.get(cache_key("a")), [1.0, 2.0])
-        np.testing.assert_array_equal(cache.get(cache_key("b")), [3.0, 4.0])
+        assert _stored(cache, list(expected)) == expected
+
+
+_PUT_THEN_CRASH = """
+import json, os, sys
+from xlconsist.embedding import VectorCache, cache_key
+cache = VectorCache(sys.argv[1])
+for text, vector in json.loads(sys.argv[2]).items():
+    cache.put(cache_key(text), vector)
+os._exit(0)  # a crash: nothing after the puts runs
+"""
+
+
+def _put_then_crash(path, vectors):
+    """Put `vectors` ({text: list}) into the cache at `path` from a process
+    that then dies without closing the cache."""
+    src = Path(embedding.__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, "-c", _PUT_THEN_CRASH, str(path), json.dumps(vectors)],
+        env={"PYTHONPATH": str(src)}, check=True,
+    )
 
 
 def test_cache_survives_truncated_tail(tmp_path):
     path = tmp_path / "vectors.bin"
-    cache = VectorCache(path)
-    cache.put(cache_key("kept"), [1.0, 2.0, 3.0])
-    cache.put(cache_key("torn"), [4.0, 5.0, 6.0])
-    cache._append.flush()
-    cache._append.close()
-    cache._read.close()  # simulate a crash: no footer written
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-5])  # tear the last record
+    _put_then_crash(path, {"kept": [1.0, 2.0, 3.0], "torn": [4.0, 5.0, 6.0]})
+    path.write_bytes(path.read_bytes()[:-5])  # tear the last record
+    with VectorCache(path) as reopened:
+        assert reopened.keys() == {cache_key("kept")}
+    _put_then_crash(path, {"new": [7.0, 8.0, 9.0]})  # the torn bytes go first
 
-    reopened = VectorCache(path)
-    assert cache_key("kept") in reopened
-    assert cache_key("torn") not in reopened
-    np.testing.assert_array_equal(reopened.get(cache_key("kept")), [1.0, 2.0, 3.0])
-    reopened.put(cache_key("new"), [7.0])
-    reopened.close()
+    expected = {cache_key("kept"): [1.0, 2.0, 3.0], cache_key("new"): [7.0, 8.0, 9.0]}
     with VectorCache(path) as final:
-        assert final.keys() == {cache_key("kept"), cache_key("new")}
+        assert cache_key("torn") not in final
+        assert final.keys() == set(expected)
+        assert _stored(final, list(expected)) == expected
+    assert read_vector_cache(path) == expected
 
 
 def test_reopen_and_close_without_a_put_leaves_the_file_as_it_was(tmp_path):
@@ -101,36 +129,30 @@ def test_reopen_and_close_without_a_put_leaves_the_file_as_it_was(tmp_path):
         assert path.read_bytes() == written
 
 
-def test_close_after_a_full_scan_writes_the_index_once(tmp_path):
-    path = tmp_path / "vectors.bin"
-    cache = VectorCache(path)
-    cache.put(cache_key("kept"), [1.0, 2.0])
-    cache._append.close()
-    cache._read.close()  # a crash: no index written
-    records = path.read_bytes()
-    VectorCache(path).close()  # a full scan finds no index, so close writes one
-    indexed = path.read_bytes()
-    assert len(indexed) > len(records) and indexed.startswith(records)
-    VectorCache(path).close()
-    assert path.read_bytes() == indexed
-
-
 def test_cache_put_is_idempotent(tmp_path):
     path = tmp_path / "vectors.bin"
     with VectorCache(path) as cache:
         cache.put(cache_key("x"), [1.0])
         cache.put(cache_key("x"), [9.0])  # ignored: content-addressed
-        np.testing.assert_array_equal(cache.get(cache_key("x")), [1.0])
+        assert _stored(cache, [cache_key("x")]) == {cache_key("x"): [1.0]}
+    assert read_vector_cache(path) == {cache_key("x"): [1.0]}
 
 
 def test_cache_rejects_foreign_file(tmp_path):
-    path = tmp_path / "not_a_cache.bin"
-    path.write_bytes(b"something else entirely")
-    with pytest.raises(ValueError):
-        VectorCache(path)
+    version_1 = b"XLCVEC1\n" + b"R" + bytes(32) + b"\x01\x00\x00\x00" + bytes(4)
+    for content, message in [
+        (b"something else entirely", "is not a vector cache file"),
+        (version_1, "re-run `xlconsist embed`"),
+    ]:
+        path = tmp_path / "not_a_cache.bin"
+        path.write_bytes(content)
+        with pytest.raises(CacheFormatError, match=message) as excinfo:
+            VectorCache(path)
+        assert str(path) in str(excinfo.value)
+        assert path.read_bytes() == content
 
 
-def test_gather_equals_get_across_reopen(tmp_path):
+def test_gather_equals_the_reference_read_across_reopen(tmp_path):
     path = tmp_path / "vectors.bin"
     rng = np.random.default_rng(3)
     older = {cache_key(f"old {i}"): rng.normal(size=9) for i in range(40)}
@@ -140,12 +162,12 @@ def test_gather_equals_get_across_reopen(tmp_path):
             cache.put(key, vector)
     with VectorCache(path) as cache:
         for key, vector in newer.items():
-            cache.put(key, vector)  # appended after the first session's index
+            cache.put(key, vector)  # appended after the first session's records
         keys = list(newer)[::-3] + list(older) + list(older)[:5]
         rows = cache.gather(keys, 9)
         assert rows.shape == (len(keys), 9) and rows.dtype == np.float64
-        for key, row in zip(keys, rows):
-            assert row.tobytes() == cache.get(key).tobytes()
+        reference = read_vector_cache(path)
+        assert [row.tolist() for row in rows] == [reference[key] for key in keys]
         assert cache.gather([], 9).shape == (0, 9)
         with pytest.raises(CacheMissError) as excinfo:
             cache.gather([keys[0], cache_key("absent"), keys[1]], 9)
@@ -154,22 +176,30 @@ def test_gather_equals_get_across_reopen(tmp_path):
 
 @pytest.mark.parametrize("on_disk", [True, False])
 def test_cached_vector_of_another_size_is_refused(tmp_path, on_disk):
-    # vectors cached by a 48-dim encoder, read by a 64-dim configuration
-    cache = VectorCache(tmp_path / "c.bin") if on_disk else Embedder(
-        EmbeddingProviderConfig()).cache
+    # vectors cached by a 48-dim encoder, read or written by a 64-dim one
+    path = tmp_path / "c.bin"
+    cache = VectorCache(path if on_disk else None)
     cache.put(cache_key("short"), np.ones(48))
-    cache.put(cache_key("right"), np.ones(64))
+    if on_disk:
+        cache.close()
+        cache = VectorCache(path)  # the size now comes from the file
     embedder = Embedder(EmbeddingProviderConfig(kind="cache-only", expected_dims=64), cache)
     try:
-        assert embedder.embed_batch(["right"]).shape == (1, 64)
-        for batch in (["short"], ["right", "short"]):
+        for refused in (
+            lambda: cache.put(cache_key("long"), np.ones(64)),
+            lambda: cache.gather([cache_key("short")], 64),
+            lambda: embedder.embed_batch(["short"]),
+        ):
             with pytest.raises(DimensionMismatchError) as excinfo:
-                embedder.embed_batch(batch)
+                refused()
             message = str(excinfo.value)
-            assert cache_key("short") in message and "48" in message and "64" in message
+            assert "48" in message and "64" in message
+            assert (str(path) in message) == on_disk
+        assert cache.keys() == {cache_key("short")}
     finally:
-        if on_disk:
-            cache.close()
+        cache.close()
+    if on_disk:
+        assert set(read_vector_cache(path)) == {cache_key("short")}
 
 
 # -- providers ----------------------------------------------------------------

@@ -8,6 +8,7 @@ import xlconsist.cli  # noqa: F401  (imports every module that defines an error)
 from xlconsist.errors import (
     AlignmentError,
     AuthenticationError,
+    CacheFormatError,
     CacheMissError,
     DatasetFormatError,
     DimensionMismatchError,
@@ -25,6 +26,7 @@ ERRORS = [
     DatasetFormatError("empty answers file"),
     AlignmentError("missing translation: zh"),
     DimensionMismatchError("expected 32 dims, got 16"),
+    CacheFormatError("c.bin is not a vector cache file"),
     CacheMissError(["ab"]),
     CacheMissError([f"key{n}" for n in range(7)]),
     ProviderError("HTTP 404: not found"),
