@@ -3,7 +3,8 @@
 Store layout: a header line with run metadata, then one record per
 completed cell. Records are append-only; on replay the last record for a
 cell wins, so retrying failures just appends replacements. A torn final
-line (crash mid-append) is dropped on load.
+line (crash mid-append) is dropped on load and cut back before the next
+append, so no appended record joins it.
 
     header  {"schema": "xlconsist-answers/1", "run_id", "model_id",
              "prompt_variant", "seed", "dataset_hash", ...}
@@ -13,6 +14,7 @@ line (crash mid-append) is dropped on load.
 from __future__ import annotations
 
 import json
+import mmap
 import unicodedata
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -40,6 +42,7 @@ class AnswerSet:
     raw: dict[tuple[str, str], str] = field(default_factory=dict)
     statuses: dict[tuple[str, str], str] = field(default_factory=dict)
     attempts: dict[tuple[str, str], int] = field(default_factory=dict)  # from the store only
+    extra: dict = field(default_factory=dict)  # other header fields, such as endpoint and shots
 
     def set_answer(self, lang: str, item_id: str, raw: str, text: str, status: str) -> None:
         key = (lang, item_id)
@@ -176,6 +179,24 @@ def append_answer_record(
     handle.flush()
 
 
+def open_for_append(path: str | Path):
+    """The store at `path` opened to append records. A torn final line,
+    which `load_answers` drops, is cut back first, and a whole final record
+    without its newline gets one, so the next record starts a line."""
+    with open(path, "a+b") as handle:
+        with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as view:
+            final = view.rfind(b"\n", 0, len(view) - 1) + 1  # searched back from the end
+            line = view[final:]
+        try:
+            json.loads(line.decode("utf-8"))
+        except ValueError:  # torn, cut inside a character, or blank
+            handle.truncate(final)
+        else:
+            if not line.endswith(b"\n"):
+                handle.write(b"\n")
+    return open(path, "a", encoding="utf-8")
+
+
 def load_answers(path: str | Path) -> AnswerSet:
     """Replay a store: the header, then every record, the last per cell winning.
 
@@ -186,9 +207,11 @@ def load_answers(path: str | Path) -> AnswerSet:
     raises DatasetFormatError with its line number, as does a record
     without a string `lang`, `item` or `text`.
     """
-    path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:  # a final line torn inside a character is dropped
+        text = data[: data.rfind(b"\n", 0, len(data) - 1) + 1].decode("utf-8")
     if not text:
         raise DatasetFormatError("empty answers file", line=1)
     body = text.find("\n") + 1 or len(text)
@@ -200,12 +223,14 @@ def load_answers(path: str | Path) -> AnswerSet:
         raise DatasetFormatError(
             f"expected schema {ANSWERS_SCHEMA!r}, got {header.get('schema')!r}", line=1
         )
+    del header["schema"]
     answer_set = AnswerSet(
-        run_id=header.get("run_id", ""),
-        model_id=header.get("model_id", ""),
-        prompt_variant=header.get("prompt_variant", "p1"),
-        seed=int(header.get("seed", 0)),
-        dataset_hash=header.get("dataset_hash"),
+        run_id=header.pop("run_id", ""),
+        model_id=header.pop("model_id", ""),
+        prompt_variant=header.pop("prompt_variant", "p1"),
+        seed=int(header.pop("seed", 0)),
+        dataset_hash=header.pop("dataset_hash", None),
+        extra=header,  # the fields left, such as endpoint and shots
     )
     answers, raw, statuses = answer_set.answers, answer_set.raw, answer_set.statuses
     size = len(text)

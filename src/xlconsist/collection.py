@@ -8,15 +8,16 @@ requests in flight, one per keep-alive connection of one
 ready. Rate-limit waits, jittered backoff and request deadlines are
 timers in that loop, so none of them holds up an answer that has
 arrived; the status and retry policy is `transport.RetryPolicy`, which
-the embedding client shares. Completed cells are appended to the answers
-store immediately, so an interrupted run resumes by filling only the
-missing cells; a store collected with another run id, variant, seed,
-model, dataset or shot count is refused. Raw completions are stored
-verbatim next to the post-processed answer so answers can be
-re-extracted later, and the run manifest records each cell's status,
-attempts and the exemplars from which `RunManifest.rebuild_messages`
-rebuilds any request. `<store>.stats.json` counts what the run sent and
-received."""
+the embedding client shares. A run loads its answers store once and
+refuses one of another run id, variant, seed, model, dataset or shot
+count (the endpoint is recorded, not compared). Each completed cell is
+appended to the store and to the loaded AnswerSet, which the run
+returns, so an interrupted run resumes with the missing cells. Raw
+completions are stored verbatim next to the post-processed answer so
+answers can be re-extracted later, and the run manifest records each
+cell's status, attempts and the exemplars from which
+`RunManifest.rebuild_messages` rebuilds any request.
+`<store>.stats.json` counts what the run sent and received."""
 
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ from .answers import (
     AnswerSet,
     append_answer_record,
     load_answers,
+    open_for_append,
     write_answer_header,
 )
 from .dataset import Dataset, QAItem
@@ -258,7 +260,10 @@ class RunManifest:
         paraphrases: dict | None = None,
     ) -> list[dict]:
         """The chat messages the run sent for one cell."""
-        item, domain = _find_item(dataset, item_id)
+        found = {item.id: (item, domain) for item, domain in _items_with_domains(dataset)}
+        if item_id not in found:
+            raise KeyError(f"item {item_id!r} not in dataset")
+        item, domain = found[item_id]
         by_id = {e.id: e for e in dataset.few_shot_pool.get(domain, ())}
         exemplars = [by_id[eid] for eid in self.exemplar_ids.get(domain, [])]
         return build_messages(
@@ -266,14 +271,13 @@ class RunManifest:
         )
 
 
-def _find_item(dataset: Dataset, item_id: str):
+def _items_with_domains(dataset: Dataset):
+    """Each item with the domain of its exemplars: the QA items under their
+    own domain, then the timeliness items under TIMELINESS_DOMAIN."""
     for item in dataset.qa_items:
-        if item.id == item_id:
-            return item, item.domain
+        yield item, item.domain
     for item in dataset.timeliness_items:
-        if item.id == item_id:
-            return item, TIMELINESS_DOMAIN
-    raise KeyError(f"item {item_id!r} not in dataset")
+        yield item, TIMELINESS_DOMAIN
 
 
 def _now() -> str:
@@ -478,74 +482,46 @@ def collect_answers(
     if missing:
         raise XlconsistError(f"languages not in dataset: {missing}")
 
-    cells = []
-    domains = []
-    for item in dataset.qa_items:
-        cells.append((item, item.domain))
-        if item.domain not in domains:
-            domains.append(item.domain)
-    if dataset.timeliness_items:
-        domains.append(TIMELINESS_DOMAIN)
-        cells.extend((item, TIMELINESS_DOMAIN) for item in dataset.timeliness_items)
-
+    cells = list(_items_with_domains(dataset))
     exemplars_by_domain = {
         domain: sample_exemplars(
             dataset.few_shot_pool.get(domain, ()), cfg.shots, cfg.exemplar_seed, domain
         )
-        for domain in domains
+        for domain in dict.fromkeys(domain for _, domain in cells)
     }
 
     transport = Transport(cfg.endpoint, cfg.timeout, cfg.token_env)
-    done: dict[tuple[str, str], str] = {}
     manifest_path = Path(str(store_path) + ".manifest.json")
+    if not store_path.exists() or store_path.stat().st_size == 0:
+        header = AnswerSet(run_id, cfg.model, cfg.prompt_variant, cfg.exemplar_seed, dataset_digest)
+        write_answer_header(store_path, header, extra={"endpoint": cfg.endpoint, "shots": cfg.shots})
+    stored = load_answers(store_path)
+    shots = stored.extra.get("shots")
+    for was, wanted, refusal in (
+        (
+            (stored.run_id, stored.prompt_variant, stored.seed),
+            (run_id, cfg.prompt_variant, cfg.exemplar_seed),
+            f"belongs to run {stored.run_id!r} (variant {stored.prompt_variant}, "
+            f"seed {stored.seed})",
+        ),
+        (stored.model_id, cfg.model, f"holds answers of model {stored.model_id!r}, not {cfg.model!r}"),
+        (
+            stored.dataset_hash,
+            dataset_digest,
+            f"was collected against dataset {stored.dataset_hash}, not {dataset_digest}",
+        ),
+        (shots, cfg.shots, f"was collected with {shots} shots, not {cfg.shots}"),
+    ):
+        if None not in (was, wanted) and was != wanted:  # None: nothing to compare
+            raise XlconsistError(f"{store_path} {refusal}; refusing to mix")
     started = _now()
-    if store_path.exists() and store_path.stat().st_size > 0:
-        existing = load_answers(store_path)
-        if (existing.run_id, existing.prompt_variant, existing.seed) != (
-            run_id,
-            cfg.prompt_variant,
-            cfg.exemplar_seed,
-        ):
-            raise XlconsistError(
-                f"{store_path} belongs to run {existing.run_id!r} "
-                f"(variant {existing.prompt_variant}, seed {existing.seed}); refusing to mix"
-            )
-        if existing.model_id != cfg.model:
-            raise XlconsistError(
-                f"{store_path} holds answers of model {existing.model_id!r}, "
-                f"not {cfg.model!r}; refusing to mix"
-            )
-        if existing.dataset_hash and dataset_digest and existing.dataset_hash != dataset_digest:
-            raise XlconsistError(
-                f"{store_path} was collected against dataset {existing.dataset_hash}, "
-                f"not {dataset_digest}; refusing to mix"
-            )
-        with open(store_path, encoding="utf-8") as handle:
-            stored_shots = json.loads(handle.readline()).get("shots")
-        if stored_shots is not None and stored_shots != cfg.shots:
-            raise XlconsistError(
-                f"{store_path} was collected with {stored_shots} shots, "
-                f"not {cfg.shots}; refusing to mix"
-            )
-        done = dict(existing.statuses)
-        if manifest_path.exists():
-            started = RunManifest.load(manifest_path).started_at or started
-    else:
-        header_set = AnswerSet(
-            run_id=run_id,
-            model_id=cfg.model,
-            prompt_variant=cfg.prompt_variant,
-            seed=cfg.exemplar_seed,
-            dataset_hash=dataset_digest,
-        )
-        write_answer_header(
-            store_path, header_set, extra={"endpoint": cfg.endpoint, "shots": cfg.shots}
-        )
+    if stored.statuses and manifest_path.exists():  # a resumed run keeps its start
+        started = RunManifest.load(manifest_path).started_at or started
 
     pending = []
     for item, domain in cells:
         for lang in languages:
-            status = done.get((lang, item.id))
+            status = stored.statuses.get((lang, item.id))
             if status == STATUS_OK:
                 continue
             if status == STATUS_FAILED and not retry_failed:
@@ -564,12 +540,14 @@ def collect_answers(
             **cfg.decoding,
         }
 
-    with open(store_path, "a", encoding="utf-8") as store_handle:
+    with open_for_append(store_path) as store_handle:
 
         def done(cell, raw, status, attempts):
             item, _, lang = cell
             text = postprocess_answer(raw, cfg.cut_at_newline) if status == STATUS_OK else ""
             append_answer_record(store_handle, lang, item.id, raw, text, status, attempts)
+            stored.set_answer(lang, item.id, raw, text, status)
+            stored.attempts[(lang, item.id)] = attempts
             if progress is not None:
                 progress(lang, item.id, status)
 
@@ -579,7 +557,6 @@ def collect_answers(
         finally:
             transport.close()
 
-    answer_set = load_answers(store_path)
     manifest = RunManifest(
         run_id=run_id,
         config=cfg.snapshot(),
@@ -588,12 +565,12 @@ def collect_answers(
             domain: [e.id for e in exemplars] for domain, exemplars in exemplars_by_domain.items()
         },
         statuses={
-            "/".join(key): {"status": status, "attempts": answer_set.attempts.get(key)}
-            for key, status in sorted(answer_set.statuses.items())
+            "/".join(key): {"status": status, "attempts": stored.attempts.get(key)}
+            for key, status in sorted(stored.statuses.items())
         },
         started_at=started,
         finished_at=_now(),
     )
     manifest.save(manifest_path)
     loop.stats.save(str(store_path) + ".stats.json")
-    return answer_set, manifest
+    return stored, manifest

@@ -105,9 +105,6 @@ class Dataset:
     def domains(self) -> tuple[str, ...]:
         return tuple(self.domain_counts())
 
-    def qa_by_domain(self, domain: str) -> tuple[QAItem, ...]:
-        return tuple(item for item in self.qa_items if item.domain == domain)
-
     def item_ids(self) -> list[str]:
         return [i.id for i in self.qa_items] + [i.id for i in self.timeliness_items]
 

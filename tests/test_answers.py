@@ -134,6 +134,20 @@ def test_bad_interior_line_names_its_line(tmp_path, body, line, message):
     assert excinfo.value.line == line
 
 
+def test_final_line_torn_inside_a_character_is_dropped(tmp_path):
+    path = tmp_path / "a.jsonl"
+    whole = (header() + "\n" + "\n".join(CLEAN) + "\n").encode("utf-8")
+    cut = whole.rindex("東".encode("utf-8")) + 1  # inside the character
+    for tail in (b"", b"\n"):
+        path.write_bytes(whole[:cut] + tail)
+        assert load_answers(path).answers == {("en", "q1"): "Lyon", ("de", "q1"): "Paris",
+                                              ("en", "q2"): "Caf\u00e9"}
+    # on any other line the bytes that do not decode are an error
+    path.write_bytes(whole[:cut] + b"\n" + CLEAN[0].encode("utf-8") + b"\n")
+    with pytest.raises(UnicodeDecodeError):
+        load_answers(path)
+
+
 @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
 def test_answer_with_a_unicode_line_separator_is_one_record(tmp_path, separator):
     # json.dumps(ensure_ascii=False) writes these raw; only "\n" ends a record

@@ -240,3 +240,49 @@ def test_failed_cell_records_the_attempts_it_used(scripted_server, tmp_path, cap
     assert stats["status_counts"] == {"400": 20}
     warnings = [record.getMessage() for record in caplog.records]
     assert len(warnings) == 20 and all("HTTP 400" in w and "retr" not in w for w in warnings)
+
+
+class StopAfter(Exception):
+    pass
+
+
+def test_returned_answer_set_is_the_loaded_store(scripted_server, tmp_path):
+    """The AnswerSet that `collect_answers` returns equals a load of its store
+    in every field, header fields included, after a fresh run, a resumed run
+    and a `retry_failed` run; the manifest lists the same statuses."""
+    dataset = small_dataset()
+    questions = [item.questions[lang] for item in dataset.qa_items for lang in dataset.languages]
+    url, _ = scripted_server(fail={q: 1 for q in questions[:6]}, fail_status=400)
+    store = tmp_path / "a.jsonl"
+    seen = []
+
+    def interrupt(lang, item_id, status):
+        seen.append(item_id)
+        if len(seen) == 8:
+            raise StopAfter()
+
+    with pytest.raises(StopAfter):
+        collect_answers(dataset, dataset.languages, make_cfg(url), store, run_id="t-run",
+                        progress=interrupt)
+    statuses = {}
+    for name, path, retry_failed in (
+        ("resumed", store, False),
+        ("fresh", tmp_path / "fresh.jsonl", False),
+        ("retry failed", store, True),
+    ):
+        answers, manifest = collect_answers(dataset, dataset.languages, make_cfg(url), path,
+                                            run_id="t-run", retry_failed=retry_failed)
+        loaded = load_answers(path)
+        assert answers == loaded, name
+        assert answers.extra == {"endpoint": url, "shots": 0}
+        assert manifest.statuses == {
+            "/".join(key): {"status": status, "attempts": loaded.attempts[key]}
+            for key, status in sorted(loaded.statuses.items())
+        }
+        statuses[name] = Counter(answers.statuses.values())
+    # the first six cells failed once with a status that is not retried
+    assert statuses == {
+        "resumed": {STATUS_FAILED: 6, STATUS_OK: 14},
+        "fresh": {STATUS_OK: 20},
+        "retry failed": {STATUS_OK: 20},
+    }

@@ -400,6 +400,65 @@ def test_progress_abort_stops_every_request_loop(tmp_path):
     assert all(status == STATUS_OK for status in answers.statuses.values())
 
 
+def test_resume_after_a_torn_final_line_loses_no_cell(tmp_path):
+    """A crash mid-append leaves a torn final line, which the load drops. The
+    resume cuts it back before its first append, or ends a whole final record
+    with its missing newline, so every record it appends loads with the rest."""
+    dataset = mini_fixture()
+    with MockLLMServer(mini_fixture_answers()) as server:
+        cfg = make_cfg(server.url)
+        uninterrupted, _ = collect_answers(
+            dataset, dataset.languages, cfg, tmp_path / "full.jsonl", run_id="t-run"
+        )
+        head, *records = (tmp_path / "full.jsonl").read_bytes().split(b"\n")[:-1]
+        # the store loses its final record and ends in a record with Chinese
+        # text, so some of the cuts fall inside a character
+        last = next(r for r in records if b'"item": "geo-03", "lang": "zh"' in r)
+        records.remove(last)
+        kept = b"\n".join([head, *records[:-1]]) + b"\n"
+        tails = [last[:n] for n in range(1, len(last) + 1)]  # the whole record last
+        tails += [last[:n] + b"\n" for n in range(1, len(last))]
+        store = tmp_path / "a.jsonl"
+        for tail in tails:
+            store.write_bytes(kept + tail)
+            resumed, _ = collect_answers(dataset, dataset.languages, cfg, store, run_id="t-run")
+            loaded = load_answers(store)
+            assert (loaded.answers, loaded.raw, loaded.statuses) == (
+                uninterrupted.answers, uninterrupted.raw, uninterrupted.statuses
+            ), tail
+            assert resumed == loaded
+
+
+def test_resume_against_another_endpoint_fills_only_the_missing_cells(tmp_path):
+    """The header records the endpoint, but a resume does not compare it: the
+    model id is the run's identity, and a restarted server may listen on
+    another port."""
+    dataset = mini_fixture()
+    store = tmp_path / "a.jsonl"
+    seen = []
+
+    def interrupt(lang, item_id, status):
+        seen.append(item_id)
+        if len(seen) == 10:
+            raise StopAfter()
+
+    with MockLLMServer(mini_fixture_answers()) as first, \
+            MockLLMServer(mini_fixture_answers()) as second:
+        assert first.url != second.url
+        with pytest.raises(StopAfter):
+            collect_answers(dataset, dataset.languages, make_cfg(first.url), store,
+                            run_id="t-run", progress=interrupt)
+        stored = len(load_answers(store).answers)
+        sent = first.request_count
+        answers, _ = collect_answers(dataset, dataset.languages, make_cfg(second.url), store,
+                                     run_id="t-run")
+        assert first.request_count == sent
+        assert second.request_count == 84 - stored
+    assert len(answers.answers) == 84
+    assert set(answers.statuses.values()) == {STATUS_OK}
+    assert answers.extra == {"endpoint": first.url, "shots": 2}
+
+
 def test_resume_refuses_mismatched_run(tmp_path):
     with MockLLMServer(mini_fixture_answers()) as server:
         collect_fixture(tmp_path / "a.jsonl", server.url)

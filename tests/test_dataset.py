@@ -209,7 +209,7 @@ def test_synthetic_corpus_counts_row_for_row():
     assert len(d.timeliness_items) == TIMELINESS_SHAPE[2]
     # entity / relation diversity also matches the published shape
     for domain, (n_entities, n_relations, _) in CORPUS_SHAPE.items():
-        items = d.qa_by_domain(domain)
+        items = [i for i in d.qa_items if i.domain == domain]
         assert len({i.entity for i in items}) == n_entities
         assert len({i.relation for i in items}) == n_relations
     assert all(len(pool) == 20 for pool in d.few_shot_pool.values())
