@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
-from .dataset import Dataset
+from .dataset import Dataset, decode_utf8
 from .errors import DatasetFormatError, MissingAnswersError
 
 ANSWERS_SCHEMA = "xlconsist-answers/1"
@@ -211,7 +211,8 @@ def load_answers(path: str | Path) -> AnswerSet:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:  # a final line torn inside a character is dropped
-        text = data[: data.rfind(b"\n", 0, len(data) - 1) + 1].decode("utf-8")
+        final = data.rfind(b"\n", 0, len(data) - 1) + 1
+        text = decode_utf8(data[:final], universal_newlines=False)
     if not text:
         raise DatasetFormatError("empty answers file", line=1)
     body = text.find("\n") + 1 or len(text)

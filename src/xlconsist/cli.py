@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 import click
-import yaml
 
 from . import __version__
 from .answers import ground_truth_answers, load_answers, store_columns
@@ -46,6 +45,8 @@ RUN_CONFIG_SCHEMA = "xlconsist-run/1"
 def load_run_config(path: str | Path | None) -> dict:
     if path is None:
         return {}
+    import yaml  # only a run given --config loads PyYAML
+
     with open(path, encoding="utf-8") as handle:
         config = yaml.safe_load(handle) or {}
     schema = config.get("schema", RUN_CONFIG_SCHEMA)

@@ -339,9 +339,28 @@ def _parse_lines(lines) -> Dataset:
     )
 
 
+def decode_utf8(data: bytes, universal_newlines: bool) -> str:
+    """`data` decoded as UTF-8, or DatasetFormatError naming the 1-based line
+    of its first byte that cannot be decoded. Lines end at "\\n", and with
+    `universal_newlines` also at "\\r\\n" and "\\r", as a text-mode read ends them."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + 1
+        if universal_newlines:
+            line += head.count(b"\r") - head.count(b"\r\n")
+        raise DatasetFormatError(f"byte {data[exc.start]:#04x} is not UTF-8", line=line) from None
+
+
 def _read(path: str | Path) -> Dataset:
-    with open(path, encoding="utf-8") as handle:
-        return _parse_lines(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return _parse_lines(handle)
+    except UnicodeDecodeError:
+        # its offset counts from the chunk being decoded: find the byte's line in the file
+        decode_utf8(Path(path).read_bytes(), universal_newlines=True)
+        raise
 
 
 def load_dataset(path: str | Path) -> Dataset:

@@ -142,6 +142,22 @@ class MockLLMServer:
         return Handler
 
 
+def _canned_answers(path: Path, parser: argparse.ArgumentParser) -> dict[str, str]:
+    """The question -> answer object in the JSON file at `path`; exits 2
+    with one line naming the file when it cannot be read or is not one."""
+    try:
+        answers = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        reason = exc.strerror
+    except ValueError as exc:  # not UTF-8 or not JSON
+        reason = f"not UTF-8 JSON ({exc})"
+    else:
+        if isinstance(answers, dict) and all(type(text) is str for text in answers.values()):
+            return answers
+        reason = "not a JSON object of question -> answer strings"
+    parser.exit(2, f"error: --answers {path}: {reason}\n")
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--port", type=int, default=8089)
@@ -151,7 +167,7 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
 
     if args.answers:
-        answers = json.loads(args.answers.read_text(encoding="utf-8"))
+        answers = _canned_answers(args.answers, parser)
     else:
         from .fixtures import mini_fixture_answers
 

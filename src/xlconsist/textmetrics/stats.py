@@ -50,12 +50,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError(f"length mismatch: {xa.shape} vs {ya.shape}")
     if len(xa) < 2:
         raise ValueError("need at least 2 observations")
-    dx, var_x = _centered(xa)
-    dy, var_y = _centered(ya)
-    if var_x == 0.0 or var_y == 0.0:
-        return 0.0
-    cov = math.fsum((dx * dy).tolist())
-    return cov / math.sqrt(var_x * var_y)
+    return rank_correlation(_centered(xa), _centered(ya)).value
 
 
 def spearman_detailed(x: Sequence[float], y: Sequence[float]) -> SpearmanResult:
@@ -84,7 +79,9 @@ def rank_deviations(values: Sequence[float]) -> tuple[np.ndarray, float]:
 def rank_correlation(
     x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]
 ) -> SpearmanResult:
-    """Spearman correlation of two equal-length `rank_deviations` results."""
+    """Correlation of two equal-length (deviations, fsum of their squares)
+    pairs: Spearman's of two `rank_deviations` results, Pearson's of two
+    centered vectors. 0.0, flagged degenerate, when either has no variance."""
     (dx, var_x), (dy, var_y) = x, y
     if var_x == 0.0 or var_y == 0.0:
         return SpearmanResult(0.0, True)

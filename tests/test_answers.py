@@ -142,10 +142,11 @@ def test_final_line_torn_inside_a_character_is_dropped(tmp_path):
         path.write_bytes(whole[:cut] + tail)
         assert load_answers(path).answers == {("en", "q1"): "Lyon", ("de", "q1"): "Paris",
                                               ("en", "q2"): "Caf\u00e9"}
-    # on any other line the bytes that do not decode are an error
+    # on any other line the bytes that do not decode are an error naming it
     path.write_bytes(whole[:cut] + b"\n" + CLEAN[0].encode("utf-8") + b"\n")
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(DatasetFormatError, match="is not UTF-8") as excinfo:
         load_answers(path)
+    assert excinfo.value.line == 6
 
 
 @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])

@@ -48,6 +48,29 @@ def test_validate_missing_file_exits_two(runner):
     assert result.exit_code == 2
 
 
+def test_dataset_byte_that_is_not_utf8_names_its_line(runner, tmp_path):
+    lines = serialize_dataset(mini_fixture()).encode("utf-8").split(b"\n")
+    record = lines[2].replace(b'"id":"', b'"id":"\xff', 1)
+    # a lone CR ends a line as a text-mode read ends it: line 2 is blank
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\n".join([lines[0] + b"\n\r" + lines[1] + b"\r", record, *lines[3:]]))
+    shown = "line 4: byte 0xff is not UTF-8"
+    result = runner.invoke(cli, ["validate", str(bad)])
+    assert result.exit_code == 1, result.output
+    assert f"[format / line 4] {shown}" in result.output
+    store = tmp_path / "answers.jsonl"
+    commands = {
+        "score": ["--ground-truth", "--out-dir", str(tmp_path / "out")],
+        "collect": ["--out", str(store), "--endpoint", "http://127.0.0.1:9/v1/chat"],
+        "embed": ["--answers", str(bad), "--cache", str(tmp_path / "c.bin"),
+                  "--provider-kind", "mock"],
+    }
+    for command, flags in commands.items():
+        result = runner.invoke(cli, [command, "--dataset", str(bad), *flags])
+        _one_line_error(result, shown)
+    assert not store.exists() and not (tmp_path / "out").exists()
+
+
 # -- end-to-end golden run ---------------------------------------------------------
 
 def run_pipeline(runner, tmp_path, out_name="out", languages=None, reuse_answers=None):

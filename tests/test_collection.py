@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from xlconsist import mockllm
 from xlconsist.answers import STATUS_FAILED, STATUS_OK, load_answers
 from xlconsist.collection import (
     SYSTEM_PROMPT,
@@ -521,3 +522,21 @@ def test_resume_keeps_started_at(tmp_path):
 def test_fallback_answer_is_stable():
     assert fallback_answer("who?") == fallback_answer("who?")
     assert fallback_answer("who?") != fallback_answer("what?")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, b'{"q": "a"', b"\xff", b'["a"]', b'{"q": 1}'],
+    ids=["missing", "not JSON", "not UTF-8", "a list", "a number answer"],
+)
+def test_mock_refuses_an_answers_file_that_is_not_a_question_answer_object(
+    tmp_path, capsys, content
+):
+    path = tmp_path / "answers.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(SystemExit) as excinfo:
+        mockllm.main(["--port", "0", "--answers", str(path)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(path) in err, err

@@ -46,6 +46,35 @@ def test_torn_interior_record_is_an_error(tmp_path):
         load_answers(path)
 
 
+def test_interior_record_that_is_not_utf8_names_its_line(tmp_path):
+    store = tmp_path / "a.jsonl"
+    truth = ground_truth_answers(mini_fixture())
+    write_answer_header(store, truth)
+    with open(store, "a", encoding="utf-8") as handle:
+        for (lang, item_id), text in truth.answers.items():
+            append_answer_record(handle, lang, item_id, text, text, "ok", 1)
+    lines = store.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b'"text": "', b'"text": "\xff', 1)
+    store.write_bytes(b"\n".join(lines))
+    with pytest.raises(DatasetFormatError, match="byte 0xff is not UTF-8") as excinfo:
+        load_answers(store)
+    assert excinfo.value.line == 3
+    dataset = str(bundled_fixture_path())
+    commands = {
+        "score": ["--answers", str(store), "--out-dir", str(tmp_path / "out"),
+                  "--provider-kind", "mock", "--dims", "16"],
+        "collect": ["--out", str(store), "--endpoint", "http://127.0.0.1:9/v1/chat"],
+        "embed": ["--answers", str(store), "--cache", str(tmp_path / "c.bin"),
+                  "--provider-kind", "mock", "--dims", "16"],
+    }
+    for command, flags in commands.items():
+        result = CliRunner().invoke(cli, [command, "--dataset", dataset, *flags])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception  # no traceback
+        assert result.output == "Error: line 3: byte 0xff is not UTF-8\n", command
+    assert not (tmp_path / "out").exists()
+
+
 def test_last_record_wins_on_replay(tmp_path):
     path = tmp_path / "a.jsonl"
     write_answer_header(path, AnswerSet(run_id="r", model_id="m"))
@@ -170,6 +199,10 @@ def test_http_embedding_connections_end_with_the_command(tmp_path, command):
 
 
 def test_star_import():
+    import xlconsist
+
     namespace = {}
     exec("from xlconsist import *", namespace)
     assert "build_report" in namespace and "chrf" in namespace
+    for name in xlconsist.__all__:  # each loaded on first use
+        assert namespace[name] is getattr(xlconsist, name), name
