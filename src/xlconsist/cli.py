@@ -4,8 +4,8 @@ Runs are driven by a YAML config file (schema xlconsist-run/1) with every
 value overridable by a flag; flags win. A single --seed feeds exemplar
 sampling and the mock provider, and is recorded in every output header.
 
-Exit codes: 0 ok, 1 domain failure (violations, missing data), 2 usage or
-unreadable input.
+Every failure prints one `Error:` line. Exit codes: 0 ok, 1 for inputs and
+toolkit errors (violations, missing data), 2 for flags and config.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .consistency import (
 )
 from .dataset import check_file, dataset_hash, load_dataset
 from .embedding import Embedder, EmbeddingProviderConfig, VectorCache
-from .errors import XlconsistError
+from .errors import ConfigFileError, XlconsistError
 from .forked import Forked
 from .textmetrics import ChrfConfig
 
@@ -43,15 +43,28 @@ RUN_CONFIG_SCHEMA = "xlconsist-run/1"
 
 
 def load_run_config(path: str | Path | None) -> dict:
+    """The run config at `path` ({} without one). An empty section means
+    its defaults; ConfigFileError when the file is not a config."""
     if path is None:
         return {}
     import yaml  # only a run given --config loads PyYAML
 
-    with open(path, encoding="utf-8") as handle:
-        config = yaml.safe_load(handle) or {}
+    try:
+        with open(path, "rb") as handle:
+            config = yaml.safe_load(handle) or {}
+    except OSError as exc:
+        raise ConfigFileError(f"{path}: {exc.strerror}") from exc
+    except yaml.YAMLError as exc:
+        reason = " ".join(str(exc).split())  # PyYAML's message spans lines
+        raise ConfigFileError(f"{path}: not a YAML run config ({reason})") from exc
+    if not isinstance(config, dict):
+        raise ConfigFileError(f"{path}: the top level is not a mapping")
     schema = config.get("schema", RUN_CONFIG_SCHEMA)
     if schema != RUN_CONFIG_SCHEMA:
-        raise click.ClickException(f"unsupported config schema {schema!r}")
+        raise ConfigFileError(f"{path}: unsupported config schema {schema!r}")
+    for section in ("provider", "collection", "chrf", "modes"):
+        if not isinstance(config.get(section) or {}, dict):
+            raise ConfigFileError(f"{path}: section {section!r} is not a mapping")
     return config
 
 
@@ -67,6 +80,14 @@ def _pick(flag_value, config, *keys, default=None):
     return node if node is not None else default
 
 
+def _switch(flag_value, config, *keys, default: bool) -> bool:
+    """A boolean setting read as `_pick` reads it; exit 2 unless a boolean."""
+    value = _pick(flag_value, config, *keys, default=default)
+    if not isinstance(value, bool):
+        raise click.UsageError(f"{'.'.join(keys)} must be true or false, got {value!r}")
+    return value
+
+
 def _require_file(path, what: str) -> str:
     """Config-supplied paths get the same exit-2 treatment as flag paths."""
     if path is None or not Path(path).is_file():
@@ -76,14 +97,11 @@ def _require_file(path, what: str) -> str:
 
 def _load_dataset(path, languages, config):
     """The dataset at `path`, cut to the --languages (or config) subset."""
-    try:
-        dataset = load_dataset(path)
-        subset = _pick(languages, config, "languages")
-        if isinstance(subset, str):
-            subset = [code.strip() for code in subset.split(",") if code.strip()]
-        return dataset.subset(subset) if subset else dataset
-    except XlconsistError as exc:
-        raise click.ClickException(str(exc))
+    dataset = load_dataset(path)
+    subset = _pick(languages, config, "languages")
+    if isinstance(subset, str):
+        subset = [code.strip() for code in subset.split(",") if code.strip()]
+    return dataset.subset(subset) if subset else dataset
 
 
 def _seed(flag_value, config) -> int:
@@ -112,21 +130,33 @@ def _open_cache(path) -> VectorCache:
     """The vector cache at `path`; exit 1 with one line when it cannot be used."""
     try:
         return VectorCache(path)
-    except (XlconsistError, OSError) as exc:
+    except OSError as exc:
         raise click.ClickException(str(exc))
 
 
 def _chrf_config(config) -> ChrfConfig:
-    section = config.get("chrf", {}) if isinstance(config, dict) else {}
     return ChrfConfig(
-        char_ngram_max=int(section.get("char_ngram_max", 6)),
-        word_ngram_max=int(section.get("word_ngram_max", 2)),
-        beta=float(section.get("beta", 2.0)),
-        case_fold=bool(section.get("case_fold", False)),
+        char_ngram_max=int(_pick(None, config, "chrf", "char_ngram_max", default=6)),
+        word_ngram_max=int(_pick(None, config, "chrf", "word_ngram_max", default=2)),
+        beta=float(_pick(None, config, "chrf", "beta", default=2.0)),
+        case_fold=_switch(None, config, "chrf", "case_fold", default=False),
     )
 
 
-@click.group()
+class _Commands(click.Group):
+    """The one place a toolkit error becomes one `Error:` line: exit 2 for
+    a config file, 1 for anything else."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except XlconsistError as exc:
+            error = click.ClickException(str(exc))
+            error.exit_code = 2 if isinstance(exc, ConfigFileError) else 1
+            raise error from exc
+
+
+@click.group(cls=_Commands)
 @click.version_option(__version__)
 def cli():
     """Cross-lingual consistency scoring for LLM answers."""
@@ -184,7 +214,7 @@ def collect(config_path, dataset_path, store_path, endpoint, model, shots, seed,
             endpoint=_pick(endpoint, config, "collection", "endpoint"),
             model=_pick(model, config, "collection", "model", default="unknown"),
             shots=int(_pick(shots, config, "collection", "shots", default=5)),
-            exemplar_seed=int(_pick(seed, config, "seed", default=0)),
+            exemplar_seed=_seed(seed, config),
             prompt_variant=_pick(variant, config, "collection", "variant", default="p1"),
             temperature=float(_pick(None, config, "collection", "temperature", default=0.0)),
             decoding=dict(_pick(None, config, "collection", "decoding", default={})),
@@ -193,7 +223,7 @@ def collect(config_path, dataset_path, store_path, endpoint, model, shots, seed,
             max_attempts=int(_pick(None, config, "collection", "max_attempts", default=3)),
             timeout=float(_pick(None, config, "collection", "timeout", default=60.0)),
             token_env=_pick(None, config, "collection", "token_env", default="XLCONSIST_API_KEY"),
-            cut_at_newline=bool(_pick(None, config, "collection", "cut_at_newline", default=True)),
+            cut_at_newline=_switch(None, config, "collection", "cut_at_newline", default=True),
         )
     except (TypeError, ValueError) as exc:
         raise click.UsageError(str(exc))
@@ -210,21 +240,18 @@ def collect(config_path, dataset_path, store_path, endpoint, model, shots, seed,
         if done["count"] % 25 == 0:
             click.echo(f"  {done['count']} cells done", err=True)
 
-    try:
-        answers, manifest = collect_answers(
-            dataset,
-            dataset.languages,
-            cfg,
-            store_path,
-            run_id=_pick(run_id, config, "run_id", default="run"),
-            dataset_digest=dataset_hash(dataset),
-            templates=templates,
-            paraphrases=paraphrases,
-            retry_failed=retry_failed,
-            progress=progress,
-        )
-    except XlconsistError as exc:
-        raise click.ClickException(str(exc))
+    answers, manifest = collect_answers(
+        dataset,
+        dataset.languages,
+        cfg,
+        store_path,
+        run_id=_pick(run_id, config, "run_id", default="run"),
+        dataset_digest=dataset_hash(dataset),
+        templates=templates,
+        paraphrases=paraphrases,
+        retry_failed=retry_failed,
+        progress=progress,
+    )
     failed = sum(1 for status in answers.statuses.values() if status != "ok")
     click.echo(f"collected {len(answers.answers)} cells ({failed} failed) -> {store_path}")
     click.echo(f"manifest: {store_path}.manifest.json")
@@ -249,11 +276,8 @@ def embed(config_path, dataset_path, answers_path, cache_path, provider_kind, en
     """Prefetch embeddings for every answer into the cache (for offline scoring)."""
     config = load_run_config(config_path)
     dataset_path = _require_file(_pick(dataset_path, config, "dataset"), "dataset")
-    try:
-        dataset = load_dataset(dataset_path)
-        answers = load_answers(answers_path)
-    except XlconsistError as exc:
-        raise click.ClickException(str(exc))
+    dataset = load_dataset(dataset_path)
+    answers = load_answers(answers_path)
     seed = _seed(seed, config)
 
     provider = _provider_config(config, provider_kind, endpoint, dims, batch_size, seed)
@@ -272,8 +296,6 @@ def embed(config_path, dataset_path, answers_path, cache_path, provider_kind, en
         embedder = Embedder(provider, cache)
         try:
             embedder.embed_batch(texts)
-        except XlconsistError as exc:
-            raise click.ClickException(str(exc))
         finally:
             embedder.close()
         click.echo(
@@ -318,12 +340,9 @@ def score(config_path, dataset_path, answers_path, ground_truth, out_dir, cache_
     # dataset is parsed and hashed here; their errors are raised in that order
     store = None if ground_truth else Forked(store_columns, answers_path)
     try:
-        try:
-            dataset = _load_dataset(dataset_path, languages, config)
-            digest = dataset_hash(dataset)
-            answers = ground_truth_answers(dataset) if ground_truth else store.result()
-        except XlconsistError as exc:
-            raise click.ClickException(str(exc))
+        dataset = _load_dataset(dataset_path, languages, config)
+        digest = dataset_hash(dataset)
+        answers = ground_truth_answers(dataset) if ground_truth else store.result()
 
         seed = _seed(seed, config)
         provider = _provider_config(config, provider_kind, endpoint, dims, batch_size, seed)
@@ -338,12 +357,12 @@ def score(config_path, dataset_path, answers_path, ground_truth, out_dir, cache_
                 _chrf_config(config),
                 xtc_mode=_pick(xtc_mode, config, "modes", "xtc_mode", default=PROSE),
                 tau=float(_pick(tau, config, "modes", "tau", default=0.0)),
-                include_timeliness=bool(
-                    _pick(include_timeliness, config, "modes", "include_timeliness", default=False)
+                include_timeliness=_switch(
+                    include_timeliness, config, "modes", "include_timeliness", default=False
                 ),
                 provenance={"dataset_hash": digest, "toolkit_version": __version__, "seed": seed},
             )
-        except (XlconsistError, ValueError) as exc:
+        except ValueError as exc:
             raise click.ClickException(str(exc))
         finally:
             embedder.close()
@@ -385,10 +404,7 @@ def correlate(report_json, external_csv, metric, scatter_out):
     if metric not in report.matrices:
         raise click.ClickException(f"report has no {metric!r} matrix")
     external = PairMatrix.read_csv(external_csv)
-    try:
-        result = correlate_matrices(report.matrices[metric], external)
-    except XlconsistError as exc:
-        raise click.ClickException(str(exc))
+    result = correlate_matrices(report.matrices[metric], external)
     click.echo(json.dumps(result.to_jsonable(), indent=1, sort_keys=True))
     if scatter_out:
         result.write_scatter_csv(scatter_out)

@@ -44,7 +44,14 @@ from .answers import (
     write_answer_header,
 )
 from .dataset import Dataset, QAItem
-from .errors import AuthenticationError, ParaphraseMissingError, ProviderError, XlconsistError
+from .errors import (
+    AuthenticationError,
+    ConfigFileError,
+    ParaphraseMissingError,
+    ProviderError,
+    TemplateMissingError,
+    XlconsistError,
+)
 from .transport import Request, Retryable, RetryPolicy, Transport, is_http_url
 
 log = logging.getLogger(__name__)
@@ -115,6 +122,27 @@ def sample_exemplars(pool, k: int, seed: int, domain: str) -> list[QAItem]:
     return rng.sample(pool, k)
 
 
+def _load_table(path: str | Path, shape: str) -> dict[str, dict[str, str]]:
+    """The JSON object of objects of strings at `path`; ConfigFileError
+    naming the file when it cannot be read or is not one."""
+    try:
+        with open(path, "rb") as handle:
+            table = json.load(handle)
+    except OSError as exc:
+        raise ConfigFileError(f"{path}: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ConfigFileError(f"{path}: not UTF-8 JSON ({exc})") from exc
+    if not (
+        isinstance(table, dict)
+        and all(
+            isinstance(group, dict) and all(type(text) is str for text in group.values())
+            for group in table.values()
+        )
+    ):
+        raise ConfigFileError(f"{path}: not a JSON object of {shape}")
+    return table
+
+
 class QuestionTemplates:
     """Relation/language question templates for prompt variant p2."""
 
@@ -125,8 +153,7 @@ class QuestionTemplates:
     def load(cls, path: str | Path | None = None) -> "QuestionTemplates":
         if path is None:
             path = str(files("xlconsist").joinpath("data/templates.json"))
-        with open(path, encoding="utf-8") as handle:
-            return cls(json.load(handle))
+        return cls(_load_table(path, "relation -> {language: template}"))
 
     def render(self, entity: str, relation: str, lang: str) -> str:
         for rel_key in (relation, "*"):
@@ -136,19 +163,22 @@ class QuestionTemplates:
             template = group.get(lang) or group.get("*")
             if template:
                 return template.format(entity=entity, relation=relation)
-        raise KeyError(f"no template for relation {relation!r} / language {lang!r}")
+        raise TemplateMissingError(f"no template for relation {relation!r} / language {lang!r}")
 
 
 def load_paraphrases(path: str | Path) -> dict:
     """Paraphrase file for variant p3: {item_id: {lang: question}}."""
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+    return _load_table(path, "item id -> {language: question}")
 
 
 def _question_for(item, lang: str, variant: str, templates, paraphrases) -> str:
     if variant == "p1":
         return item.questions[lang]
     if variant == "p2":
+        if not isinstance(item, QAItem):
+            raise TemplateMissingError(
+                f"timeliness item {item.id!r} has no entity or relation for a p2 template"
+            )
         templates = templates or QuestionTemplates.load()
         return templates.render(item.entity, item.relation, lang)
     if variant == "p3":
@@ -469,11 +499,14 @@ def collect_answers(
 ) -> tuple[AnswerSet, RunManifest]:
     """Collect one answer per (language, item); resumable and rate-limited.
 
-    Starts no thread. `progress(lang, item_id, status)` is invoked in the
-    calling thread as each cell is stored; exceptions it raises abort the
-    run, as does an `AuthenticationError`. No request is sent after that,
-    every connection and the store are closed, and the cells already
-    stored survive and are skipped on the next call. Writes
+    Every cell's question is built first, so a cell without one (a p2
+    cell without a template, a p3 cell without a paraphrase) raises before
+    the store is touched or a request is sent. Starts no thread.
+    `progress(lang, item_id, status)` is invoked in the calling thread as
+    each cell is stored; exceptions it raises abort the run, as does an
+    `AuthenticationError`. No request is sent after that, every
+    connection and the store are closed, and the cells already stored
+    survive and are skipped on the next call. Writes
     `<store>.manifest.json` and `<store>.stats.json` when the run ends.
     """
     store_path = Path(store_path)
@@ -489,6 +522,12 @@ def collect_answers(
         )
         for domain in dict.fromkeys(domain for _, domain in cells)
     }
+
+    if cfg.prompt_variant == "p2" and templates is None:
+        templates = QuestionTemplates.load()
+    for item, _ in cells:
+        for lang in languages:
+            _question_for(item, lang, cfg.prompt_variant, templates, paraphrases)
 
     transport = Transport(cfg.endpoint, cfg.timeout, cfg.token_env)
     manifest_path = Path(str(store_path) + ".manifest.json")

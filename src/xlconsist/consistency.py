@@ -34,7 +34,7 @@ import numpy as np
 
 from .answers import AnswerColumns, AnswerSet
 from .dataset import Dataset
-from .errors import LanguageMismatchError
+from .errors import LanguageMismatchError, ReportFormatError
 from .forked import Forked, fork_cpus
 from .textmetrics import (
     ChrfConfig,
@@ -142,23 +142,34 @@ class PairMatrix:
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "PairMatrix":
-        with open(path, encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
+        try:
+            with open(path, encoding="utf-8", newline="") as handle:
+                rows = list(csv.reader(handle))
+        except ValueError as exc:  # not UTF-8
+            raise ReportFormatError(f"{path}: not a UTF-8 CSV ({exc})") from exc
         if not rows or len(rows[0]) < 2:
-            raise ValueError(f"{path}: not a pair-matrix CSV")
+            raise ReportFormatError(f"{path}: not a pair-matrix CSV")
         languages = tuple(rows[0][1:])
         size = len(languages)
         values = np.full((size, size), np.nan)
         if len(rows) - 1 != size:
-            raise ValueError(f"{path}: expected {size} rows, found {len(rows) - 1}")
+            raise ReportFormatError(f"{path}: expected {size} rows, found {len(rows) - 1}")
         for i, row in enumerate(rows[1:]):
+            if len(row) != size + 1:
+                raise ReportFormatError(
+                    f"{path}: row {i + 2} has {len(row) - 1} cells, expected {size}"
+                )
             if row[0] != languages[i]:
                 raise LanguageMismatchError(
                     f"{path}: row {i + 2} is {row[0]!r}, expected {languages[i]!r}"
                 )
             for j, cell in enumerate(row[1:]):
-                if cell.strip():
-                    values[i, j] = float(cell)
+                try:
+                    values[i, j] = float(cell) if cell.strip() else np.nan
+                except ValueError:
+                    raise ReportFormatError(
+                        f"{path}: row {i + 2}, column {j + 2}: {cell!r} is not a number"
+                    ) from None
         return cls(languages, values)
 
 
@@ -585,23 +596,31 @@ class ConsistencyReport:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ConsistencyReport":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if data.get("schema") != REPORT_SCHEMA:
-            raise ValueError(f"expected schema {REPORT_SCHEMA!r}, got {data.get('schema')!r}")
-        metrics = data["metrics"]
-        return cls(
-            xsc=metrics["xsc"],
-            xac=metrics["xac"],
-            xtc=metrics["xtc"],
-            xc=metrics["xc"],
-            xc_degenerate=metrics["xc_degenerate"],
-            matrices={
-                name: PairMatrix.from_jsonable(m) for name, m in data["matrices"].items()
-            },
-            domain_xsc=data.get("domains", {}),
-            degenerate_pairs=data.get("degenerate_pairs", {}),
-            provenance=data.get("provenance", {}),
-        )
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise ReportFormatError(f"{path}: not UTF-8 JSON ({exc})") from exc
+        schema = data.get("schema") if isinstance(data, dict) else None
+        if schema != REPORT_SCHEMA:
+            raise ReportFormatError(f"{path}: expected schema {REPORT_SCHEMA!r}, got {schema!r}")
+        try:
+            metrics = data["metrics"]
+            return cls(
+                xsc=metrics["xsc"],
+                xac=metrics["xac"],
+                xtc=metrics["xtc"],
+                xc=metrics["xc"],
+                xc_degenerate=metrics["xc_degenerate"],
+                matrices={
+                    name: PairMatrix.from_jsonable(m) for name, m in data["matrices"].items()
+                },
+                domain_xsc=data.get("domains", {}),
+                degenerate_pairs=data.get("degenerate_pairs", {}),
+                provenance=data.get("provenance", {}),
+            )
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ReportFormatError(f"{path}: malformed report: {reason}") from exc
 
     def write_files(self, out_dir: str | Path) -> list[Path]:
         """report.json plus one CSV per matrix and the per-domain table."""

@@ -382,7 +382,7 @@ def check_file(path: str | Path) -> tuple[ValidationReport, Dataset | None]:
     try:
         dataset = _read(path)
     except DatasetFormatError as exc:
-        return ValidationReport((Violation("format", str(exc), line=exc.line),)), None
+        return ValidationReport((Violation("format", exc.reason, line=exc.line),)), None
     return validate_alignment(dataset), dataset
 
 

@@ -26,6 +26,7 @@ class DatasetFormatError(XlconsistError):
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
+        self.reason = message  # the message without its "line N: " prefix
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -41,6 +42,15 @@ class DimensionMismatchError(XlconsistError):
 
 class CacheFormatError(XlconsistError, ValueError):
     """A vector cache file is not in the current format."""
+
+
+class ReportFormatError(XlconsistError, ValueError):
+    """A report JSON or pair-matrix CSV cannot be read."""
+
+
+class ConfigFileError(XlconsistError):
+    """A run config, template or paraphrase file cannot be read or has the
+    wrong shape; the CLI exits 2 on it, as on a bad flag."""
 
 
 class CacheMissError(XlconsistError):
@@ -77,3 +87,7 @@ class LanguageMismatchError(XlconsistError):
 
 class ParaphraseMissingError(XlconsistError):
     """Prompt variant p3 was requested but no paraphrase exists for an item."""
+
+
+class TemplateMissingError(XlconsistError):
+    """Prompt variant p2 was requested but no template fits an item."""

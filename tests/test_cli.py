@@ -57,7 +57,7 @@ def test_dataset_byte_that_is_not_utf8_names_its_line(runner, tmp_path):
     shown = "line 4: byte 0xff is not UTF-8"
     result = runner.invoke(cli, ["validate", str(bad)])
     assert result.exit_code == 1, result.output
-    assert f"[format / line 4] {shown}" in result.output
+    assert "[format / line 4] byte 0xff is not UTF-8" in result.output
     store = tmp_path / "answers.jsonl"
     commands = {
         "score": ["--ground-truth", "--out-dir", str(tmp_path / "out")],
@@ -236,6 +236,18 @@ def _one_line_error(result, *shown):
         assert text in lines[0]
 
 
+def _usage_error(result, *shown):
+    """`result` exited 2 with one error line, its last, holding each of
+    `shown`; the lines above it, if any, are click's usage hint."""
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception  # no traceback
+    lines = result.output.strip().splitlines()
+    assert [line for line in lines if line.startswith("Error: ")] == lines[-1:], result.output
+    assert all(line.startswith(("Error: ", "Usage: ", "Try ")) for line in lines if line)
+    for text in shown:
+        assert text in lines[-1]
+
+
 @pytest.mark.parametrize("content, shown", [
     (b"something else entirely", "is not a vector cache file"),
     (b"XLCVEC1\n", "re-run `xlconsist embed`"),
@@ -381,7 +393,7 @@ def _ground_truth_store(path):
     ("collect", [], "collection:\n  max_attempts: 0\n", "max_attempts must be >= 1, got 0"),
     ("score", ["--dims", "0"], "", "expected_dims must be >= 1"),
     ("embed", ["--batch-size", "0"], "", "batch_size must be >= 1"),
-    ("collect", [], "seed: abc\n", "invalid literal for int() with base 10: 'abc'"),
+    ("collect", [], "seed: abc\n", "seed must be an integer, got 'abc'"),
     ("score", [], "seed: abc\n", "seed must be an integer, got 'abc'"),
     ("embed", [], "seed: abc\n", "seed must be an integer, got 'abc'"),
 ], ids=["concurrency", "rate-limit-0", "rate-limit-negative", "max-attempts", "dims",
@@ -487,3 +499,100 @@ def test_rate_limit_that_is_not_a_number_exits_two_and_writes_nothing(runner, tm
     assert result.exit_code == 2, result.output
     assert "could not convert string to float: 'fast'" in result.output
     assert not (tmp_path / "a.jsonl").exists()
+
+
+# -- every bad input ends in one error line ----------------------------------------
+
+def _golden_csv(edit):
+    """The golden report's xSC matrix CSV, its lines changed by `edit`."""
+    def content(tmp_path):
+        path = tmp_path / "golden.csv"
+        ConsistencyReport.from_json(DATA_DIR / "golden_report.json").matrices["xsc"].write_csv(path)
+        return "\n".join(edit(path.read_text(encoding="utf-8").splitlines())) + "\n"
+    return content
+
+
+def _golden_json(edit):
+    """The golden report JSON, its document changed by `edit`."""
+    def content(tmp_path):
+        report = json.loads((DATA_DIR / "golden_report.json").read_text(encoding="utf-8"))
+        edit(report)
+        return json.dumps(report)
+    return content
+
+
+@pytest.mark.parametrize("command, flag, content, extra, code, shown", [
+    ("correlate", None, _golden_csv(lambda lines: [lines[0], lines[2], lines[1], lines[3]]),
+     [], 1, ["row 2 is 'de', expected 'en'"]),
+    ("correlate", None, _golden_csv(lambda lines: lines[:2]), [], 1, ["expected 3 rows, found 1"]),
+    ("correlate", None, _golden_csv(lambda lines: [lines[0], "en,,0.5,x", *lines[2:]]),
+     [], 1, ["row 2, column 4: 'x' is not a number"]),
+    ("report", None, _golden_json(lambda r: r.update(schema="other/1")), [], 1,
+     ["expected schema 'xlconsist-report/1', got 'other/1'"]),
+    ("report", None, _golden_json(lambda r: r.pop("metrics")), [], 1, ["missing key 'metrics'"]),
+    ("report", None, lambda tmp_path: "{not json", [], 1, ["not UTF-8 JSON"]),
+    ("score", "--config", lambda tmp_path: "schema: [xlconsist-run/1\n", [], 2,
+     ["not a YAML run config"]),
+    ("score", "--config", lambda tmp_path: "- chrf\n- modes\n", [], 2,
+     ["the top level is not a mapping"]),
+    ("score", "--config", lambda tmp_path: "provider: 5\n", [], 2,
+     ["section 'provider' is not a mapping"]),
+    ("score", "--config", lambda tmp_path: 'chrf:\n  case_fold: "false"\n', [], 2,
+     ["chrf.case_fold must be true or false, got 'false'"]),
+    ("score", "--config", lambda tmp_path: "modes:\n  include_timeliness: yes please\n", [], 2,
+     ["modes.include_timeliness must be true or false, got 'yes please'"]),
+    ("collect", "--config", lambda tmp_path: "collection:\n  cut_at_newline: 'no'\n", [], 2,
+     ["collection.cut_at_newline must be true or false, got 'no'"]),
+    ("collect", "--templates", lambda tmp_path: "{not json", ["--variant", "p2"], 2,
+     ["not UTF-8 JSON"]),
+    ("collect", "--templates", lambda tmp_path: '["What is {entity}?"]', ["--variant", "p2"], 2,
+     ["not a JSON object of relation -> {language: template}"]),
+    ("collect", "--paraphrases", lambda tmp_path: "{not json", ["--variant", "p3"], 2,
+     ["not UTF-8 JSON"]),
+    ("collect", None, None, ["--variant", "p2"], 1,
+     ["timeliness item 'tim-01' has no entity or relation for a p2 template"]),
+    ("collect", "--templates", lambda tmp_path: '{"capital": {"*": "Capital of {entity}?"}}',
+     ["--variant", "p2"], 1, ["no template for relation"]),
+    ("collect", "--paraphrases", lambda tmp_path: '{"geo-01": {"en": "Capital of France?"}}',
+     ["--variant", "p3"], 1, ["no paraphrase for item 'geo-01' in language 'de'"]),
+], ids=["correlate-rows-out-of-order", "correlate-not-a-matrix", "correlate-not-a-number",
+        "report-other-schema", "report-missing-key", "report-not-json", "config-not-yaml",
+        "config-a-list", "config-section-not-a-mapping", "case-fold-string",
+        "include-timeliness-string", "cut-at-newline-string", "templates-not-json",
+        "templates-not-a-table", "paraphrases-not-json", "p2-timeliness-item",
+        "p2-relation-without-template", "p3-missing-paraphrase"])
+def test_bad_input_ends_in_one_error_line_and_writes_nothing(
+    runner, tmp_path, command, flag, content, extra, code, shown
+):
+    bad = tmp_path / "bad"
+    if content is not None:
+        bad.write_text(content(tmp_path), encoding="utf-8")
+    out, store = tmp_path / "out", tmp_path / "a.jsonl"
+    args = {
+        "report": ["report"],
+        "correlate": ["correlate", str(DATA_DIR / "golden_report.json")],
+        "score": ["score", "--dataset", str(bundled_fixture_path()), "--ground-truth",
+                  "--out-dir", str(out), "--provider-kind", "mock", "--dims", "16"],
+        "collect": ["collect", "--dataset", str(bundled_fixture_path()), "--out", str(store),
+                    "--model", "canned", "--shots", "1"],
+    }[command]
+    args += ([flag] if flag else []) + ([str(bad)] if content else []) + extra
+    with MockLLMServer(mini_fixture_answers()) as llm:
+        result = runner.invoke(cli, args + (["--endpoint", llm.url] if command == "collect" else []))
+        assert llm.request_count == 0
+    (_one_line_error if code == 1 else _usage_error)(result, *shown)
+    assert not out.exists() and not store.exists()
+
+
+def test_an_empty_config_section_means_its_defaults(runner, tmp_path):
+    config = tmp_path / "run.yaml"
+    config.write_text("schema: xlconsist-run/1\nprovider:\nchrf:\nmodes:\n", encoding="utf-8")
+    reports = []
+    for name, extra in (("plain", []), ("empty", ["--config", str(config)])):
+        result = runner.invoke(cli, [
+            "score", "--dataset", str(bundled_fixture_path()), "--ground-truth",
+            "--out-dir", str(tmp_path / name), *extra,
+        ])
+        assert result.exit_code == 0, result.output
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    assert reports[0] == reports[1]

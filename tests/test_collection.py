@@ -18,7 +18,13 @@ from xlconsist.collection import (
     postprocess_answer,
     sample_exemplars,
 )
-from xlconsist.errors import AuthenticationError, ParaphraseMissingError, XlconsistError
+from xlconsist.dataset import Dataset
+from xlconsist.errors import (
+    AuthenticationError,
+    ParaphraseMissingError,
+    TemplateMissingError,
+    XlconsistError,
+)
 from xlconsist.fixtures import mini_fixture, mini_fixture_answers
 from xlconsist.mockllm import MockLLMServer, fallback_answer
 
@@ -458,6 +464,49 @@ def test_resume_against_another_endpoint_fills_only_the_missing_cells(tmp_path):
     assert len(answers.answers) == 84
     assert set(answers.statuses.values()) == {STATUS_OK}
     assert answers.extra == {"endpoint": first.url, "shots": 2}
+
+
+def test_p2_reads_the_bundled_templates_once_per_run(tmp_path, monkeypatch):
+    loads = []
+    load = QuestionTemplates.load
+
+    def counted_load(path=None):
+        loads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(QuestionTemplates, "load", counted_load)
+    full = mini_fixture()
+    dataset = Dataset(full.languages, full.qa_items, (), full.few_shot_pool)
+    with MockLLMServer(mini_fixture_answers()) as server:
+        answers, _ = collect_answers(
+            dataset, dataset.languages, make_cfg(server.url, prompt_variant="p2"),
+            tmp_path / "a.jsonl",
+        )
+    assert len(answers.answers) == len(dataset.qa_items) * 3 == server.request_count
+    assert loads == [None]
+
+
+@pytest.mark.parametrize("variant, error, shown", [
+    ("p2", TemplateMissingError, "timeliness item 'tim-01' has no entity or relation"),
+    ("p3", ParaphraseMissingError, "no paraphrase for item 'tim-04' in language 'zh'"),
+], ids=["p2-timeliness-item", "p3-missing-paraphrase"])
+def test_a_cell_without_a_question_stops_the_run_before_any_write(
+    tmp_path, variant, error, shown
+):
+    dataset = mini_fixture()
+    # p3 has a paraphrase for every cell but the last
+    items = [*dataset.qa_items, *dataset.timeliness_items]
+    paraphrases = {item.id: dict(item.questions) for item in items}
+    del paraphrases["tim-04"]["zh"]
+    store = tmp_path / "a.jsonl"
+    with MockLLMServer(mini_fixture_answers()) as server:
+        with pytest.raises(error, match=shown):
+            collect_answers(
+                dataset, dataset.languages, make_cfg(server.url, prompt_variant=variant), store,
+                paraphrases=paraphrases,
+            )
+        assert server.request_count == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_resume_refuses_mismatched_run(tmp_path):

@@ -355,4 +355,4 @@ def test_malformed_record_names_its_field_and_line(tmp_path, record, message):
         load_dataset(path)
     assert (str(excinfo.value), excinfo.value.line) == (f"line 4: {message}", 4)
     report = validate_file(path)
-    assert report.render() == f"1 violation(s):\n[format / line 4] line 4: {message}"
+    assert report.render() == f"1 violation(s):\n[format / line 4] {message}"

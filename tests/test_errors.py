@@ -10,12 +10,15 @@ from xlconsist.errors import (
     AuthenticationError,
     CacheFormatError,
     CacheMissError,
+    ConfigFileError,
     DatasetFormatError,
     DimensionMismatchError,
     LanguageMismatchError,
     MissingAnswersError,
     ParaphraseMissingError,
     ProviderError,
+    ReportFormatError,
+    TemplateMissingError,
     XlconsistError,
 )
 from xlconsist.transport import Retryable
@@ -36,6 +39,9 @@ ERRORS = [
     MissingAnswersError([("de", f"q{n}") for n in range(6)]),
     LanguageMismatchError("language sets differ"),
     ParaphraseMissingError("no paraphrase for geo-1"),
+    TemplateMissingError("no template for relation 'capital' / language 'ja'"),
+    ConfigFileError("run.yaml: the top level is not a mapping"),
+    ReportFormatError("report.json: expected schema 'xlconsist-report/1', got None"),
 ]
 
 
