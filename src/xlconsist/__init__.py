@@ -21,6 +21,7 @@ _SOURCES = {
         (
             "ConsistencyReport",
             "PairMatrix",
+            "ScoringConfig",
             "build_report",
             "correlate_matrices",
             "domain_breakdown",

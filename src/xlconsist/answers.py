@@ -24,6 +24,8 @@ from .dataset import Dataset, decode_utf8
 from .errors import DatasetFormatError, MissingAnswersError
 
 ANSWERS_SCHEMA = "xlconsist-answers/1"
+# the header fields that an AnswerSet and AnswerColumns carry
+HEADER_FIELDS = ("run_id", "model_id", "prompt_variant", "seed", "dataset_hash")
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -107,15 +109,8 @@ class AnswerColumns:
                 at = position_of(item_id)
                 if at is not None:
                     column[at] = text
-        return cls(
-            answer_set.run_id,
-            answer_set.model_id,
-            answer_set.prompt_variant,
-            answer_set.seed,
-            answer_set.dataset_hash,
-            item_ids,
-            by_language,
-        )
+        header = {key: getattr(answer_set, key) for key in HEADER_FIELDS}
+        return cls(**header, item_ids=item_ids, by_language=by_language)
 
     def columns(self, languages, item_ids) -> list[list[str]]:
         """As AnswerSet.columns: a language or item that was not read has
@@ -150,14 +145,7 @@ def ground_truth_answers(dataset: Dataset, run_id: str = "ground-truth") -> Answ
 
 
 def write_answer_header(path: str | Path, answer_set: AnswerSet, extra: dict | None = None) -> None:
-    header = {
-        "schema": ANSWERS_SCHEMA,
-        "run_id": answer_set.run_id,
-        "model_id": answer_set.model_id,
-        "prompt_variant": answer_set.prompt_variant,
-        "seed": answer_set.seed,
-        "dataset_hash": answer_set.dataset_hash,
-    }
+    header = {"schema": ANSWERS_SCHEMA, **{key: getattr(answer_set, key) for key in HEADER_FIELDS}}
     if extra:
         header.update(extra)
     with open(path, "w", encoding="utf-8") as handle:

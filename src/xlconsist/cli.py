@@ -2,7 +2,8 @@
 
 Runs are driven by a YAML config file (schema xlconsist-run/1) with every
 value overridable by a flag; flags win. A single --seed feeds exemplar
-sampling and the mock provider, and is recorded in every output header.
+sampling and the mock provider: `collect` records it in the store header,
+and `score` records it as the report's `provider.seed`.
 
 Every failure prints one `Error:` line. Exit codes: 0 ok, 1 for inputs and
 toolkit errors (violations, missing data), 2 for flags and config.
@@ -30,6 +31,7 @@ from .consistency import (
     FORMULA,
     ConsistencyReport,
     PairMatrix,
+    ScoringConfig,
     build_report,
     correlate_matrices,
 )
@@ -95,12 +97,21 @@ def _require_file(path, what: str) -> str:
     return str(path)
 
 
-def _load_dataset(path, languages, config):
-    """The dataset at `path`, cut to the --languages (or config) subset."""
-    dataset = load_dataset(path)
-    subset = _pick(languages, config, "languages")
+def _languages(flag_value, config) -> list[str] | None:
+    """The --languages (or config) subset, or None; exit 2 unless a list of codes."""
+    subset = _pick(flag_value, config, "languages")
     if isinstance(subset, str):
         subset = [code.strip() for code in subset.split(",") if code.strip()]
+    if subset is not None and not (
+        isinstance(subset, list) and all(isinstance(code, str) for code in subset)
+    ):
+        raise click.UsageError(f"languages must be a list of language codes, got {subset!r}")
+    return subset or None
+
+
+def _load_dataset(path, subset):
+    """The dataset at `path`, cut to `subset` when one is given."""
+    dataset = load_dataset(path)
     return dataset.subset(subset) if subset else dataset
 
 
@@ -122,7 +133,7 @@ def _provider_config(config, kind, endpoint, dims, batch_size, seed) -> Embeddin
             batch_size=int(_pick(batch_size, config, "provider", "batch_size", default=64)),
             mock_seed=seed,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise click.UsageError(str(exc))
 
 
@@ -134,13 +145,23 @@ def _open_cache(path) -> VectorCache:
         raise click.ClickException(str(exc))
 
 
-def _chrf_config(config) -> ChrfConfig:
-    return ChrfConfig(
-        char_ngram_max=int(_pick(None, config, "chrf", "char_ngram_max", default=6)),
-        word_ngram_max=int(_pick(None, config, "chrf", "word_ngram_max", default=2)),
-        beta=float(_pick(None, config, "chrf", "beta", default=2.0)),
-        case_fold=_switch(None, config, "chrf", "case_fold", default=False),
-    )
+def _scoring_config(config, xtc_mode, tau, include_timeliness) -> ScoringConfig:
+    try:
+        return ScoringConfig(
+            chrf=ChrfConfig(
+                char_ngram_max=int(_pick(None, config, "chrf", "char_ngram_max", default=6)),
+                word_ngram_max=int(_pick(None, config, "chrf", "word_ngram_max", default=2)),
+                beta=float(_pick(None, config, "chrf", "beta", default=2.0)),
+                case_fold=_switch(None, config, "chrf", "case_fold", default=False),
+            ),
+            xtc_mode=_pick(xtc_mode, config, "modes", "xtc_mode", default=PROSE),
+            tau=float(_pick(tau, config, "modes", "tau", default=0.0)),
+            include_timeliness=_switch(
+                include_timeliness, config, "modes", "include_timeliness", default=False
+            ),
+        )
+    except (TypeError, ValueError) as exc:
+        raise click.UsageError(str(exc))
 
 
 class _Commands(click.Group):
@@ -206,7 +227,7 @@ def collect(config_path, dataset_path, store_path, endpoint, model, shots, seed,
     if not store_path:
         raise click.UsageError("need --out (or a config providing answers:)")
 
-    dataset = _load_dataset(dataset_path, languages, config)
+    dataset = _load_dataset(dataset_path, _languages(languages, config))
 
     rate_limit = _pick(rate_limit, config, "collection", "rate_limit_rps")
     try:
@@ -335,35 +356,23 @@ def score(config_path, dataset_path, answers_path, ground_truth, out_dir, cache_
         raise click.UsageError("need --out-dir (or a config providing it)")
     if not ground_truth:
         answers_path = _require_file(answers_path, "answers store")
+    seed = _seed(seed, config)
+    provider = _provider_config(config, provider_kind, endpoint, dims, batch_size, seed)
+    scoring = _scoring_config(config, xtc_mode, tau, include_timeliness)
+    subset = _languages(languages, config)
 
-    # the store is parsed (in a child, when fork_cpus allows) while the
-    # dataset is parsed and hashed here; their errors are raised in that order
+    # every setting is settled before anything is forked or written. The
+    # store is parsed (in a child, when fork_cpus allows) while the dataset
+    # is parsed and hashed here; their errors are raised in that order
     store = None if ground_truth else Forked(store_columns, answers_path)
     try:
-        dataset = _load_dataset(dataset_path, languages, config)
+        dataset = _load_dataset(dataset_path, subset)
         digest = dataset_hash(dataset)
         answers = ground_truth_answers(dataset) if ground_truth else store.result()
-
-        seed = _seed(seed, config)
-        provider = _provider_config(config, provider_kind, endpoint, dims, batch_size, seed)
         cache = _open_cache(cache_path) if cache_path else VectorCache()
         embedder = Embedder(provider, cache)
-
         try:
-            report = build_report(
-                answers,
-                dataset,
-                embedder,
-                _chrf_config(config),
-                xtc_mode=_pick(xtc_mode, config, "modes", "xtc_mode", default=PROSE),
-                tau=float(_pick(tau, config, "modes", "tau", default=0.0)),
-                include_timeliness=_switch(
-                    include_timeliness, config, "modes", "include_timeliness", default=False
-                ),
-                provenance={"dataset_hash": digest, "toolkit_version": __version__, "seed": seed},
-            )
-        except ValueError as exc:
-            raise click.ClickException(str(exc))
+            report = build_report(answers, dataset, embedder, scoring, dataset_hash=digest)
         finally:
             embedder.close()
             cache.close()

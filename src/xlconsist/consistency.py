@@ -24,17 +24,17 @@ from __future__ import annotations
 import csv
 import gc
 import json
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .answers import AnswerColumns, AnswerSet
-from .dataset import Dataset
-from .errors import LanguageMismatchError, ReportFormatError
+from . import __version__
+from .answers import HEADER_FIELDS, AnswerColumns, AnswerSet
+from .dataset import Dataset, dataset_hash as digest_of
+from .errors import InsufficientDataError, LanguageMismatchError, ReportFormatError
 from .forked import Forked, fork_cpus
 from .textmetrics import (
     ChrfConfig,
@@ -45,8 +45,6 @@ from .textmetrics import (
     rank_deviations,
     spearman,
 )
-
-log = logging.getLogger(__name__)
 
 REPORT_SCHEMA = "xlconsist-report/1"
 
@@ -208,10 +206,10 @@ def xsc(
     `answers` is read through its `columns` method only."""
     languages = dataset.languages
     if len(languages) < 2:
-        raise ValueError("xsc needs at least 2 languages")
+        raise InsufficientDataError("xsc needs at least 2 languages")
     item_ids = _item_ids(*_select_items(dataset, include_timeliness))
     if not item_ids:
-        raise ValueError("no items selected for xsc")
+        raise InsufficientDataError("no items selected for xsc")
     return _xsc(languages, answers.columns(languages, item_ids), embedder)
 
 
@@ -262,12 +260,12 @@ def _accuracy_jobs(answers: AnswerSet, dataset: Dataset, include_timeliness: boo
     own-language truth; a timeliness item's truth is its newest candidate."""
     languages = dataset.languages
     if len(languages) < 2:
-        raise ValueError("xac needs at least 2 languages")
+        raise InsufficientDataError("xac needs at least 2 languages")
     qa, timeliness = _select_items(dataset, include_timeliness)
     columns = answers.columns(languages, _item_ids(qa, timeliness))
     count = len(qa) + len(timeliness)
     if count < 2:
-        raise ValueError(f"xac needs at least 2 items, got {count}")
+        raise InsufficientDataError(f"xac needs at least 2 items, got {count}")
     jobs = [
         (
             column,
@@ -368,9 +366,9 @@ def _timeliness_jobs(answers: AnswerSet, dataset: Dataset):
     item."""
     languages, items = dataset.languages, dataset.timeliness_items
     if len(languages) < 2:
-        raise ValueError("xtc needs at least 2 languages")
+        raise InsufficientDataError("xtc needs at least 2 languages")
     if len(items) < 2:
-        raise ValueError(f"xtc needs at least 2 timeliness items, got {len(items)}")
+        raise InsufficientDataError(f"xtc needs at least 2 timeliness items, got {len(items)}")
     jobs = []
     for lang, column in zip(languages, answers.columns(languages, _item_ids(items))):
         hypotheses, references = [], []
@@ -468,28 +466,18 @@ def xc_detailed(xsc_value: float, xac_value: float, xtc_value: float) -> tuple[f
     return 3.0 / (1.0 / xsc_value + 1.0 / xac_value + 1.0 / xtc_value), False
 
 
-def domain_breakdown(
-    answers: AnswerSet,
-    dataset: Dataset,
-    embedder,
-    *,
-    domains=None,
-) -> dict[str, float]:
+def domain_breakdown(answers: AnswerSet, dataset: Dataset, embedder) -> dict[str, float]:
     """xSC restricted to each domain's items."""
-    return _domain_table(dataset, xsc(answers, dataset, embedder).item_cosines, domains)
+    return _domain_table(dataset, xsc(answers, dataset, embedder).item_cosines)
 
 
-def _domain_table(dataset: Dataset, item_cosines: np.ndarray, domains=None) -> dict[str, float]:
+def _domain_table(dataset: Dataset, item_cosines: np.ndarray) -> dict[str, float]:
     """Per-domain xSC reduced from xsc's per-item cosines (QA items first)."""
     qa_cosines = item_cosines[:, : dataset.n_qa]
     item_domains = np.array([item.domain for item in dataset.qa_items])
     breakdown = {}
-    for domain in domains if domains is not None else dataset.domains():
-        selected = item_domains == domain
-        if not selected.any():
-            log.warning("domain %r has no items; omitted from breakdown", domain)
-            continue
-        matrix = _cosine_matrix(dataset.languages, qa_cosines, selected)
+    for domain in dataset.domains():
+        matrix = _cosine_matrix(dataset.languages, qa_cosines, item_domains == domain)
         breakdown[domain] = matrix.mean_offdiagonal()
     return breakdown
 
@@ -550,7 +538,7 @@ def correlate_matrices(consistency: PairMatrix, external: PairMatrix) -> MatrixC
                 cons_cells.append(a)
                 ext_cells.append(b)
     if len(cons_cells) < 2:
-        raise ValueError("fewer than 2 common off-diagonal cells")
+        raise InsufficientDataError("fewer than 2 common off-diagonal cells")
 
     cons_means = consistency.row_means()
     ext_means = external.row_means()
@@ -605,6 +593,11 @@ class ConsistencyReport:
             raise ReportFormatError(f"{path}: expected schema {REPORT_SCHEMA!r}, got {schema!r}")
         try:
             metrics = data["metrics"]
+            for key in ("xsc", "xac", "xtc", "xc"):
+                if isinstance(metrics[key], bool) or not isinstance(metrics[key], (int, float)):
+                    raise ValueError(f"metric {key!r} is not a number")
+            if not isinstance(metrics["xc_degenerate"], bool):
+                raise ValueError("metric 'xc_degenerate' is not a boolean")
             return cls(
                 xsc=metrics["xsc"],
                 xac=metrics["xac"],
@@ -662,58 +655,66 @@ class ConsistencyReport:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class ScoringConfig:
+    """What `build_report` computes: the chrF settings and the xAC/xTC modes."""
+
+    chrf: ChrfConfig = DEFAULT_CHRF
+    xtc_mode: str = PROSE
+    tau: float = 0.0
+    include_timeliness: bool = False
+
+    def __post_init__(self):
+        if self.xtc_mode not in (PROSE, FORMULA):
+            raise ValueError(f"xtc_mode must be {PROSE!r} or {FORMULA!r}, got {self.xtc_mode!r}")
+        if not 0.0 <= self.tau <= 1.0:  # also refuses NaN
+            raise ValueError(f"tau must be within [0, 1], got {self.tau!r}")
+
+
+DEFAULT_SCORING = ScoringConfig()
+
+
 def build_report(
     answers: AnswerSet | AnswerColumns,
     dataset: Dataset,
     embedder,
-    chrf_cfg: ChrfConfig = DEFAULT_CHRF,
+    scoring: ScoringConfig = DEFAULT_SCORING,
     *,
-    xtc_mode: str = PROSE,
-    tau: float = 0.0,
-    include_timeliness: bool = False,
-    provenance: dict | None = None,
+    dataset_hash: str | None = None,
 ) -> ConsistencyReport:
     """Full scoring pass: all four metrics, matrices, per-domain table.
 
     The xAC and xTC chrF jobs run in worker processes while xSC runs here
     (see `_score_jobs`); xSC and xAC score the same items, so xSC reads
     the answers that xAC looked up. `answers` is read through its header
-    fields and `columns` only. `provenance` is merged into the report's."""
+    fields and `columns` only; its header goes under the provenance's
+    "answers". `dataset_hash` defaults to the scored dataset's digest."""
     languages = dataset.languages
-    scored, jobs = _accuracy_jobs(answers, dataset, include_timeliness)
+    scored, jobs = _accuracy_jobs(answers, dataset, scoring.include_timeliness)
     jobs += _timeliness_jobs(answers, dataset)
 
-    scores, semantic = _score_jobs(jobs, chrf_cfg, lambda: _xsc(languages, scored, embedder))
+    scores, semantic = _score_jobs(jobs, scoring.chrf, lambda: _xsc(languages, scored, embedder))
     split = len(languages)
     accuracy = _rank_result(languages, _accuracy_vectors(dataset, scores[:split]))
     timeliness = _rank_result(
-        languages, _timeliness_vectors(dataset, scores[split:], xtc_mode, tau)
+        languages, _timeliness_vectors(dataset, scores[split:], scoring.xtc_mode, scoring.tau)
     )
     combined, degenerate = xc_detailed(semantic.score, accuracy.score, timeliness.score)
     breakdown = _domain_table(dataset, semantic.item_cosines)
 
-    meta = {
-        "run_id": answers.run_id,
-        "model_id": answers.model_id,
-        "prompt_variant": answers.prompt_variant,
-        "seed": answers.seed,
-        "dataset_hash": answers.dataset_hash,
-        "languages": list(dataset.languages),
+    provenance = {
+        "answers": {key: getattr(answers, key) for key in HEADER_FIELDS},
+        "dataset_hash": dataset_hash or digest_of(dataset),
+        "languages": list(languages),
         "n_qa_items": dataset.n_qa,
         "n_timeliness_items": len(dataset.timeliness_items),
         "provider": embedder.describe(),
-        "chrf": {
-            "char_ngram_max": chrf_cfg.char_ngram_max,
-            "word_ngram_max": chrf_cfg.word_ngram_max,
-            "beta": chrf_cfg.beta,
-            "case_fold": chrf_cfg.case_fold,
-        },
-        "xtc_mode": xtc_mode,
-        "tau": tau,
-        "include_timeliness_in_xsc_xac": include_timeliness,
+        "chrf": asdict(scoring.chrf),
+        "xtc_mode": scoring.xtc_mode,
+        "tau": scoring.tau,
+        "include_timeliness_in_xsc_xac": scoring.include_timeliness,
+        "toolkit_version": __version__,
     }
-    if provenance:
-        meta.update(provenance)
 
     return ConsistencyReport(
         xsc=semantic.score,
@@ -724,5 +725,5 @@ def build_report(
         matrices={"xsc": semantic.matrix, "xac": accuracy.matrix, "xtc": timeliness.matrix},
         domain_xsc=breakdown,
         degenerate_pairs={"xac": accuracy.degenerate_pairs, "xtc": timeliness.degenerate_pairs},
-        provenance=meta,
+        provenance=provenance,
     )

@@ -367,12 +367,14 @@ def load_dataset(path: str | Path) -> Dataset:
     """Parse and fully validate a dataset file.
 
     Raises DatasetFormatError (with line number) for malformed content and
-    AlignmentError when the parsed dataset violates its invariants.
+    AlignmentError, naming the count and the first violation, when the
+    parsed dataset violates its invariants.
     """
     dataset = _read(path)
     report = validate_alignment(dataset)
     if not report.ok:
-        raise AlignmentError(report.render())
+        first = report.violations[0].render()
+        raise AlignmentError(f"{len(report.violations)} violation(s); first: {first}")
     return dataset
 
 

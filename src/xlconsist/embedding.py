@@ -196,7 +196,8 @@ class EmbeddingProviderConfig:
         object.__setattr__(self, "synonyms", tuple(tuple(g) for g in self.synonyms))
 
     def describe(self) -> dict:
-        return {"kind": self.kind, "endpoint": self.endpoint, "dims": self.expected_dims}
+        return {"kind": self.kind, "endpoint": self.endpoint, "dims": self.expected_dims,
+                "seed": self.mock_seed}
 
 
 class MockProvider:

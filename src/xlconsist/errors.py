@@ -48,6 +48,10 @@ class ReportFormatError(XlconsistError, ValueError):
     """A report JSON or pair-matrix CSV cannot be read."""
 
 
+class InsufficientDataError(XlconsistError, ValueError):
+    """Too few languages, items or matrix cells to compute a score."""
+
+
 class ConfigFileError(XlconsistError):
     """A run config, template or paraphrase file cannot be read or has the
     wrong shape; the CLI exits 2 on it, as on a bad flag."""

@@ -42,7 +42,6 @@ class ChrfConfig:
     char_ngram_max: int = 6
     word_ngram_max: int = 2
     beta: float = 2.0
-    strip_whitespace_for_char_ngrams: bool = True
     case_fold: bool = False
 
     def __post_init__(self):
@@ -87,7 +86,7 @@ def chrf_batch(
                 text = text.casefold()
             split = text.split()
             form = (
-                "".join(split) if cfg.strip_whitespace_for_char_ngrams else text,
+                "".join(split),
                 tuple(tokens.setdefault(token, len(tokens)) for token in split)
                 if cfg.word_ngram_max > 0
                 else (),

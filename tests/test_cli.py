@@ -27,7 +27,7 @@ def test_validate_ok(runner):
     assert "OK" in result.output
 
 
-def test_validate_misaligned_exits_one(runner, tmp_path):
+def _misaligned_dataset(tmp_path):
     lines = serialize_dataset(mini_fixture()).splitlines()
     qa_index = next(
         i for i, line in enumerate(lines[1:], start=1)
@@ -38,9 +38,32 @@ def test_validate_misaligned_exits_one(runner, tmp_path):
     lines[qa_index] = json.dumps(record, ensure_ascii=False)
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    result = runner.invoke(cli, ["validate", str(bad)])
+    return bad
+
+
+def test_validate_misaligned_exits_one(runner, tmp_path):
+    result = runner.invoke(cli, ["validate", str(_misaligned_dataset(tmp_path))])
     assert result.exit_code == 1
     assert "zh" in result.output
+
+
+def _reading_commands(tmp_path, dataset):
+    """The commands that read `dataset` before they write, with their flags."""
+    return {
+        "score": ["--ground-truth", "--out-dir", str(tmp_path / "out")],
+        "collect": ["--out", str(tmp_path / "answers.jsonl"),
+                    "--endpoint", "http://127.0.0.1:9/v1/chat"],
+        "embed": ["--answers", str(dataset), "--cache", str(tmp_path / "c.bin"),
+                  "--provider-kind", "mock"],
+    }
+
+
+def test_misaligned_dataset_ends_in_one_line_naming_the_first_violation(runner, tmp_path):
+    bad = _misaligned_dataset(tmp_path)
+    shown = "1 violation(s); first: [alignment / item geo-01 / lang zh] missing or empty answer"
+    for command, flags in _reading_commands(tmp_path, bad).items():
+        _one_line_error(runner.invoke(cli, [command, "--dataset", str(bad), *flags]), shown)
+    assert sorted(tmp_path.iterdir()) == [bad]
 
 
 def test_validate_missing_file_exits_two(runner):
@@ -58,17 +81,10 @@ def test_dataset_byte_that_is_not_utf8_names_its_line(runner, tmp_path):
     result = runner.invoke(cli, ["validate", str(bad)])
     assert result.exit_code == 1, result.output
     assert "[format / line 4] byte 0xff is not UTF-8" in result.output
-    store = tmp_path / "answers.jsonl"
-    commands = {
-        "score": ["--ground-truth", "--out-dir", str(tmp_path / "out")],
-        "collect": ["--out", str(store), "--endpoint", "http://127.0.0.1:9/v1/chat"],
-        "embed": ["--answers", str(bad), "--cache", str(tmp_path / "c.bin"),
-                  "--provider-kind", "mock"],
-    }
-    for command, flags in commands.items():
+    for command, flags in _reading_commands(tmp_path, bad).items():
         result = runner.invoke(cli, [command, "--dataset", str(bad), *flags])
         _one_line_error(result, shown)
-    assert not store.exists() and not (tmp_path / "out").exists()
+    assert sorted(tmp_path.iterdir()) == [bad]
 
 
 # -- end-to-end golden run ---------------------------------------------------------
@@ -137,7 +153,7 @@ def test_score_refuses_a_beta_that_gives_nan(runner, tmp_path, beta, shown):
         "score", "--config", str(config), "--dataset", str(bundled_fixture_path()),
         "--ground-truth", "--out-dir", str(tmp_path / "out"), "--provider-kind", "mock",
     ])
-    assert result.exit_code == 1
+    assert result.exit_code == 2
     assert f"beta must be finite and > 0, with a finite square; got {shown}" in result.output
     assert not (tmp_path / "out").exists()
 
@@ -149,7 +165,7 @@ def test_score_ground_truth_oracle(runner, tmp_path):
     ])
     assert result.exit_code == 0, result.output
     report = ConsistencyReport.from_json(tmp_path / "oracle" / "report.json")
-    assert report.provenance["model_id"] == "ground-truth"
+    assert report.provenance["answers"]["model_id"] == "ground-truth"
 
 
 def test_score_with_config_file_and_flag_override(runner, tmp_path):
@@ -527,10 +543,14 @@ def _golden_json(edit):
     ("correlate", None, _golden_csv(lambda lines: lines[:2]), [], 1, ["expected 3 rows, found 1"]),
     ("correlate", None, _golden_csv(lambda lines: [lines[0], "en,,0.5,x", *lines[2:]]),
      [], 1, ["row 2, column 4: 'x' is not a number"]),
+    ("correlate", None, _golden_csv(lambda lines: [lines[0], "en,,,", "de,,,", "zh,,,"]),
+     [], 1, ["fewer than 2 common off-diagonal cells"]),
     ("report", None, _golden_json(lambda r: r.update(schema="other/1")), [], 1,
      ["expected schema 'xlconsist-report/1', got 'other/1'"]),
     ("report", None, _golden_json(lambda r: r.pop("metrics")), [], 1, ["missing key 'metrics'"]),
     ("report", None, lambda tmp_path: "{not json", [], 1, ["not UTF-8 JSON"]),
+    ("report", None, _golden_json(lambda r: r["metrics"].update(xsc="high")), [], 1,
+     ["malformed report: metric 'xsc' is not a number"]),
     ("score", "--config", lambda tmp_path: "schema: [xlconsist-run/1\n", [], 2,
      ["not a YAML run config"]),
     ("score", "--config", lambda tmp_path: "- chrf\n- modes\n", [], 2,
@@ -541,6 +561,14 @@ def _golden_json(edit):
      ["chrf.case_fold must be true or false, got 'false'"]),
     ("score", "--config", lambda tmp_path: "modes:\n  include_timeliness: yes please\n", [], 2,
      ["modes.include_timeliness must be true or false, got 'yes please'"]),
+    ("score", "--config", lambda tmp_path: "languages: 5\n", [], 2,
+     ["languages must be a list of language codes, got 5"]),
+    ("score", "--config", lambda tmp_path: "modes:\n  xtc_mode: bogus\n", [], 2,
+     ["xtc_mode must be 'prose' or 'formula', got 'bogus'"]),
+    ("score", None, None, ["--tau", "nan"], 2, ["tau must be within [0, 1], got nan"]),
+    ("score", None, None, ["--tau", "1.5"], 2, ["tau must be within [0, 1], got 1.5"]),
+    ("score", "--config", lambda tmp_path: "chrf:\n  beta: .nan\n", [], 2,
+     ["beta must be finite and > 0, with a finite square; got nan"]),
     ("collect", "--config", lambda tmp_path: "collection:\n  cut_at_newline: 'no'\n", [], 2,
      ["collection.cut_at_newline must be true or false, got 'no'"]),
     ("collect", "--templates", lambda tmp_path: "{not json", ["--variant", "p2"], 2,
@@ -556,9 +584,11 @@ def _golden_json(edit):
     ("collect", "--paraphrases", lambda tmp_path: '{"geo-01": {"en": "Capital of France?"}}',
      ["--variant", "p3"], 1, ["no paraphrase for item 'geo-01' in language 'de'"]),
 ], ids=["correlate-rows-out-of-order", "correlate-not-a-matrix", "correlate-not-a-number",
-        "report-other-schema", "report-missing-key", "report-not-json", "config-not-yaml",
-        "config-a-list", "config-section-not-a-mapping", "case-fold-string",
-        "include-timeliness-string", "cut-at-newline-string", "templates-not-json",
+        "correlate-no-common-cells", "report-other-schema", "report-missing-key",
+        "report-not-json", "report-metric-not-a-number", "config-not-yaml", "config-a-list",
+        "config-section-not-a-mapping", "case-fold-string", "include-timeliness-string",
+        "languages-a-number", "xtc-mode-unknown", "tau-nan", "tau-above-one", "beta-nan", "cut-at-newline-string",
+        "templates-not-json",
         "templates-not-a-table", "paraphrases-not-json", "p2-timeliness-item",
         "p2-relation-without-template", "p3-missing-paraphrase"])
 def test_bad_input_ends_in_one_error_line_and_writes_nothing(
@@ -567,12 +597,13 @@ def test_bad_input_ends_in_one_error_line_and_writes_nothing(
     bad = tmp_path / "bad"
     if content is not None:
         bad.write_text(content(tmp_path), encoding="utf-8")
-    out, store = tmp_path / "out", tmp_path / "a.jsonl"
+    out, store, cache = tmp_path / "out", tmp_path / "a.jsonl", tmp_path / "v.bin"
     args = {
         "report": ["report"],
         "correlate": ["correlate", str(DATA_DIR / "golden_report.json")],
         "score": ["score", "--dataset", str(bundled_fixture_path()), "--ground-truth",
-                  "--out-dir", str(out), "--provider-kind", "mock", "--dims", "16"],
+                  "--out-dir", str(out), "--cache", str(cache), "--provider-kind", "mock",
+                  "--dims", "16"],
         "collect": ["collect", "--dataset", str(bundled_fixture_path()), "--out", str(store),
                     "--model", "canned", "--shots", "1"],
     }[command]
@@ -581,7 +612,7 @@ def test_bad_input_ends_in_one_error_line_and_writes_nothing(
         result = runner.invoke(cli, args + (["--endpoint", llm.url] if command == "collect" else []))
         assert llm.request_count == 0
     (_one_line_error if code == 1 else _usage_error)(result, *shown)
-    assert not out.exists() and not store.exists()
+    assert not out.exists() and not store.exists() and not cache.exists()
 
 
 def test_an_empty_config_section_means_its_defaults(runner, tmp_path):

@@ -22,6 +22,7 @@ from xlconsist.consistency import (
     FORMULA,
     ConsistencyReport,
     PairMatrix,
+    ScoringConfig,
     build_report,
     correlate_matrices,
     domain_breakdown,
@@ -34,7 +35,12 @@ from xlconsist.consistency import (
 )
 from xlconsist.dataset import Dataset, QAItem, TimelinessItem
 from xlconsist.embedding import Embedder, EmbeddingProviderConfig
-from xlconsist.errors import LanguageMismatchError, MissingAnswersError, XlconsistError
+from xlconsist.errors import (
+    InsufficientDataError,
+    LanguageMismatchError,
+    MissingAnswersError,
+    XlconsistError,
+)
 from xlconsist.fixtures import (
     bundled_fixture_path,
     mini_fixture,
@@ -234,7 +240,7 @@ def test_xac_needs_two_items():
     langs = ["a", "b"]
     d = make_dataset(langs, [("q0", "misc", {"a": "x", "b": "x"})])
     answers = make_answers(d, lambda lang, item_id: "x")
-    with pytest.raises(ValueError, match="2 items"):
+    with pytest.raises(InsufficientDataError, match="2 items"):
         xac(answers, d)
 
 
@@ -378,7 +384,7 @@ def test_xtc_constant_vector_is_degenerate():
 
 def test_xtc_needs_two_items():
     d, answers = timeliness_dataset({"a": [1], "b": [2]})
-    with pytest.raises(ValueError, match="timeliness items"):
+    with pytest.raises(InsufficientDataError, match="timeliness items"):
         xtc(answers, d)
 
 
@@ -467,14 +473,6 @@ def test_domain_breakdown_single_domain_equals_global():
     breakdown = domain_breakdown(answers, d, embedder)
     assert list(breakdown) == ["only"]
     assert breakdown["only"] == xsc(answers, d, embedder).score
-
-
-def test_domain_breakdown_omits_empty_domain():
-    d = make_dataset(["en", "de"], [("q1", "real", {"en": "x", "de": "x"})])
-    answers = make_answers(d, lambda lang, item_id: "x")
-    embedder = Embedder(EmbeddingProviderConfig(kind="mock", expected_dims=8))
-    breakdown = domain_breakdown(answers, d, embedder, domains=("real", "ghost"))
-    assert "ghost" not in breakdown
 
 
 # -- correlate ----------------------------------------------------------------
@@ -621,7 +619,7 @@ def test_ceiling_property_with_forced_equality_mock():
 
 def test_build_report_and_json_round_trip(tmp_path):
     dataset, answers, embedder = fixture_run()
-    report = build_report(answers, dataset, embedder, provenance={"note": "unit"})
+    report = build_report(answers, dataset, embedder)
     assert -1.0 <= report.xac <= 1.0
     assert -1.0 <= report.xtc <= 1.0
     assert 0.0 <= report.xsc <= 1.0
@@ -635,10 +633,11 @@ def test_build_report_and_json_round_trip(tmp_path):
     loaded = ConsistencyReport.from_json(tmp_path / "report.json")
     assert loaded.xsc == report.xsc
     assert loaded.matrices["xsc"].cell("en", "zh") == report.matrices["xsc"].cell("en", "zh")
-    assert loaded.provenance["note"] == "unit"
+    assert loaded.provenance == report.provenance
+    assert loaded.provenance["answers"]["run_id"] == answers.run_id
 
     # report JSON is byte-stable for identical inputs
-    report2 = build_report(answers, dataset, embedder, provenance={"note": "unit"})
+    report2 = build_report(answers, dataset, embedder)
     assert report2.to_json() == report.to_json()
 
 
@@ -728,12 +727,12 @@ def test_worker_and_inline_reports_are_byte_identical(monkeypatch):
     dataset, answers = synthetic_run()
     embedder = SpyEmbedder()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    forked = build_report(answers, dataset, embedder, xtc_mode=FORMULA, tau=0.3)
+    forked = build_report(answers, dataset, embedder, ScoringConfig(xtc_mode=FORMULA, tau=0.3))
     assert embedder.workers_seen == [3]
     assert_no_child()
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    inline = build_report(answers, dataset, embedder, xtc_mode=FORMULA, tau=0.3)
+    inline = build_report(answers, dataset, embedder, ScoringConfig(xtc_mode=FORMULA, tau=0.3))
     assert embedder.workers_seen == [3, 0]
     assert forked.to_json() == inline.to_json()
     assert inline.xac != 0.0 and inline.xtc != 0.0
@@ -966,7 +965,7 @@ def test_missing_qa_cell_is_refused_before_embedding(include_timeliness):
     embedder = SpyEmbedder()
     with pytest.raises(MissingAnswersError) as excinfo:
         build_report(without(answers, ("de", item)), dataset, embedder,
-                     include_timeliness=include_timeliness)
+                     ScoringConfig(include_timeliness=include_timeliness))
     assert str(excinfo.value) == f"1 answers missing: de/{item}"
     assert embedder.calls == []
     assert_no_child()
@@ -979,7 +978,7 @@ def test_missing_timeliness_cell_is_refused_before_embedding(include_timeliness)
     embedder = SpyEmbedder()
     with pytest.raises(MissingAnswersError) as excinfo:
         build_report(without(answers, ("zh", item)), dataset, embedder,
-                     include_timeliness=include_timeliness)
+                     ScoringConfig(include_timeliness=include_timeliness))
     assert str(excinfo.value) == f"1 answers missing: zh/{item}"
     assert embedder.calls == []
 
@@ -994,7 +993,7 @@ def test_missing_cells_are_named_in_check_order():
     with pytest.raises(
         MissingAnswersError, match=rf"^3 answers missing: en/{timely}, de/{qa}, zh/{qa}$"
     ):
-        build_report(gaps, dataset, SpyEmbedder(), include_timeliness=True)
+        build_report(gaps, dataset, SpyEmbedder(), ScoringConfig(include_timeliness=True))
 
 
 @pytest.mark.parametrize("include_timeliness", [False, True])
@@ -1013,8 +1012,8 @@ def test_build_report_calls_xsc_once_and_matches_the_public_metrics(
 
     monkeypatch.setattr(consistency, "_xsc", counted)
     embedder = SpyEmbedder()
-    report = build_report(answers, dataset, embedder, include_timeliness=include_timeliness,
-                          xtc_mode=FORMULA, tau=0.3)
+    scoring = ScoringConfig(xtc_mode=FORMULA, tau=0.3, include_timeliness=include_timeliness)
+    report = build_report(answers, dataset, embedder, scoring)
     assert calls == [dataset.n_qa + (len(dataset.timeliness_items) if include_timeliness else 0)]
     semantic = xsc(answers, dataset, embedder, include_timeliness=include_timeliness)
     accuracy = xac(answers, dataset, include_timeliness=include_timeliness)

@@ -13,6 +13,7 @@ from xlconsist.errors import (
     ConfigFileError,
     DatasetFormatError,
     DimensionMismatchError,
+    InsufficientDataError,
     LanguageMismatchError,
     MissingAnswersError,
     ParaphraseMissingError,
@@ -42,6 +43,7 @@ ERRORS = [
     TemplateMissingError("no template for relation 'capital' / language 'ja'"),
     ConfigFileError("run.yaml: the top level is not a mapping"),
     ReportFormatError("report.json: expected schema 'xlconsist-report/1', got None"),
+    InsufficientDataError("xac needs at least 2 items, got 1"),
 ]
 
 

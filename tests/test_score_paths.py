@@ -1,8 +1,8 @@
 """`score` on both of its paths: the answers store parsed in a forked child
 (two CPUs in the affinity mask) or inline (one CPU). Each writes the same
 files and fails with the same exit code and message, checked in the same
-order: dataset errors, store errors, provider settings, then the scoring
-checks and missing answers."""
+order: settings (provider, chrF and modes), dataset errors, store errors,
+then the scoring checks and missing answers."""
 
 import json
 import os
@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from xlconsist import cli as cli_module
 from xlconsist.answers import append_answer_record, ground_truth_answers, write_answer_header
 from xlconsist.cli import cli
-from xlconsist.dataset import Dataset, QAItem, serialize_dataset, write_dataset
+from xlconsist.dataset import Dataset, QAItem, dataset_hash, serialize_dataset, write_dataset
 from xlconsist.fixtures import bundled_fixture_path, mini_fixture, mini_fixture_answers
 from xlconsist.mockllm import MockLLMServer
 
@@ -102,6 +102,30 @@ def test_store_child_is_forked_before_the_dataset_parse_returns(monkeypatch, tmp
         assert events == ["dataset parsed"]
 
 
+@pytest.mark.parametrize("flags, config, shown", [
+    (["--dims", "0"], "", "expected_dims must be >= 1"),
+    (["--tau", "nan"], "", "tau must be within [0, 1], got nan"),
+    ([], "chrf:\n  case_fold: x\n", "chrf.case_fold must be true or false, got 'x'"),
+    ([], "modes:\n  xtc_mode: bogus\n", "xtc_mode must be 'prose' or 'formula', got 'bogus'"),
+], ids=["dims-0", "tau-nan", "case-fold-string", "xtc-mode-unknown"])
+def test_a_bad_setting_forks_no_child_and_writes_nothing(tmp_path, path, collected, flags,
+                                                         config, shown):
+    config_path = tmp_path / "run.yaml"
+    config_path.write_text("schema: xlconsist-run/1\n" + config, encoding="utf-8")
+    forks, recording = [], []
+    os.register_at_fork(after_in_parent=lambda: recording and forks.append("fork"))
+    recording.append(True)
+    try:
+        result = score(bundled_fixture_path(), collected, tmp_path / "out",
+                       "--config", str(config_path), *flags)
+    finally:
+        recording.clear()
+    assert result.exit_code == 2, result.output
+    assert f"Error: {shown}\n" in result.output
+    assert forks == []
+    assert list(tmp_path.iterdir()) == [config_path]  # no cache file, no out dir
+
+
 # -- error paths ---------------------------------------------------------------
 
 
@@ -162,7 +186,8 @@ def zero_dims(dataset, store):
 MALFORMED_STORE = (1, "Error: line 5: answer record needs string lang, item and text")
 NO_HEADER = (1, "Error: line 1: expected schema 'xlconsist-answers/1', got None")
 MISSING = (1, "Error: 3 answers missing: en/extra-1, de/extra-1, zh/extra-1")
-MISALIGNED = (1, "Error: 1 violation(s):")
+MISALIGNED = (1, "Error: 1 violation(s); first: [alignment / item geo-01 / lang zh] "
+                 "missing or empty answer")
 ZERO_DIMS = (2, "Error: expected_dims must be >= 1")
 
 ERROR_CASES = {
@@ -174,7 +199,7 @@ ERROR_CASES = {
     # where two checks fail, the earlier one in the order above is reported
     "misaligned-dataset-and-store-without-header": (
         [misaligned_dataset, store_without_header], MISALIGNED),
-    "malformed-store-line-and-dims-0": ([malformed_store_line, zero_dims], MALFORMED_STORE),
+    "malformed-store-line-and-dims-0": ([malformed_store_line, zero_dims], ZERO_DIMS),
     "store-without-header-and-missing-answers": (
         [store_without_header, missing_answers], NO_HEADER),
     "dims-0-and-missing-answers": ([zero_dims, missing_answers], ZERO_DIMS),
@@ -195,3 +220,19 @@ def test_error_gives_the_same_exit_code_and_message_on_both_paths(tmp_path, path
     assert (result.exit_code, result.exception.__class__) == (exit_code, SystemExit), result.output
     assert message + "\n" in result.output
     assert not (tmp_path / "out").exists()
+
+
+def test_provenance_keeps_the_store_header_apart_from_the_run(tmp_path, path):
+    dataset, store = tmp_path / "dataset.jsonl", tmp_path / "answers.jsonl"
+    dataset.write_text(serialize_dataset(mini_fixture()), encoding="utf-8")
+    _ground_truth_store(store)
+    zeros = "0" * 64
+    _edit_lines(store, lambda lines: [
+        json.dumps({**json.loads(lines[0]), "seed": 0, "dataset_hash": zeros}), *lines[1:]])
+    result = score(dataset, store, tmp_path / "out", "--seed", "3")  # the later --seed wins
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    provenance = report["provenance"]
+    assert (provenance["answers"]["seed"], provenance["answers"]["dataset_hash"]) == (0, zeros)
+    assert provenance["provider"]["seed"] == 3
+    assert provenance["dataset_hash"] == dataset_hash(mini_fixture())

@@ -88,11 +88,6 @@ def test_split_join_strip_on_random_text(text):
     assert "".join(text.split()) == _regex_strip(text)
 
 
-def test_whitespace_kept_when_disabled():
-    keep = ChrfConfig(word_ngram_max=0, strip_whitespace_for_char_ngrams=False)
-    assert chrf("Buenos Aires", "BuenosAires", keep) < 1.0
-
-
 def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
         ChrfConfig(char_ngram_max=0)
@@ -182,7 +177,7 @@ BATCH_PAIRS = PAIRS + [
 BATCH_CONFIGS = [
     (ChrfConfig(), {}),
     (ChrfConfig(case_fold=True), dict(case_fold=True)),
-    (ChrfConfig(strip_whitespace_for_char_ngrams=False), dict(strip_whitespace=False)),
+    (ChrfConfig(beta=1.0), dict(beta=1.0)),
     (ChrfConfig(word_ngram_max=0), dict(word_max=0)),
     (ChrfConfig(char_ngram_max=1), dict(char_max=1)),
     (ChrfConfig(char_ngram_max=9, word_ngram_max=4), dict(char_max=9, word_max=4)),
