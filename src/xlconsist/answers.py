@@ -189,11 +189,16 @@ def load_answers(path: str | Path) -> AnswerSet:
     """Replay a store: the header, then every record, the last per cell winning.
 
     Lines end at "\\n" only, so an answer holding U+2028 or another
-    `str.splitlines` boundary stays one record. A line that is exactly one
-    JSON object is decoded in place by one bound decoder; any other line is
-    skipped when blank, dropped when it is a torn final line, and otherwise
-    raises DatasetFormatError with its line number, as does a record
-    without a string `lang`, `item` or `text`.
+    `str.splitlines` boundary stays one record. A body whose only "{"
+    characters are the first characters of its lines (true of every store
+    whose answers hold no "{") is decoded in one call (`_whole_records`);
+    any other body, or one that call refuses, is read line by line: a line
+    that is exactly one JSON object is decoded in place by one bound
+    decoder, and any other line is skipped when blank, dropped when it is a
+    torn final line, and otherwise raises DatasetFormatError with its line
+    number. Either way a record without a string `lang`, `item` or `text`
+    raises DatasetFormatError with its line number, as does a header that
+    is not a JSON object of this schema with an integer `seed`.
     """
     data = Path(path).read_bytes()
     try:
@@ -204,24 +209,86 @@ def load_answers(path: str | Path) -> AnswerSet:
     if not text:
         raise DatasetFormatError("empty answers file", line=1)
     body = text.find("\n") + 1 or len(text)
+    answer_set = _header(text[:body])
+    answers, raw, statuses = answer_set.answers, answer_set.raw, answer_set.statuses
+    records = _whole_records(text[body:])
+    if records is None:
+        records = _line_records(text, body)
+    for line_no, record in records:
+        key = (record.get("lang"), record.get("item"))
+        answer = record.get("text")
+        if type(key[0]) is not str or type(key[1]) is not str or type(answer) is not str:
+            raise DatasetFormatError("answer record needs string lang, item and text", line=line_no)
+        answers[key] = unicodedata.normalize("NFC", answer)
+        raw[key] = record.get("raw", answer)
+        statuses[key] = record.get("status", STATUS_OK)
+        if "attempts" in record:
+            answer_set.attempts[key] = record["attempts"]
+    return answer_set
+
+
+def _header(line: str) -> AnswerSet:
+    """The empty AnswerSet that the store's header line describes, or
+    DatasetFormatError on line 1."""
     try:
-        header = json.loads(text[:body])
+        header = json.loads(line)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid header: {exc.msg}", line=1) from exc
+    if not isinstance(header, dict):
+        raise DatasetFormatError("header is not a JSON object", line=1)
     if header.get("schema") != ANSWERS_SCHEMA:
         raise DatasetFormatError(
             f"expected schema {ANSWERS_SCHEMA!r}, got {header.get('schema')!r}", line=1
         )
     del header["schema"]
-    answer_set = AnswerSet(
+    seed = header.pop("seed", 0)
+    try:
+        seed = int(seed)
+    except (TypeError, ValueError):
+        raise DatasetFormatError(f"header seed must be an integer, got {seed!r}", line=1)
+    return AnswerSet(
         run_id=header.pop("run_id", ""),
         model_id=header.pop("model_id", ""),
         prompt_variant=header.pop("prompt_variant", "p1"),
-        seed=int(header.pop("seed", 0)),
+        seed=seed,
         dataset_hash=header.pop("dataset_hash", None),
         extra=header,  # the fields left, such as endpoint and shots
     )
-    answers, raw, statuses = answer_set.answers, answer_set.raw, answer_set.statuses
+
+
+def _whole_records(body: str):
+    """(line number, record) of each line of `body`, decoded as one JSON
+    array in one call, or None when that would not be exactly what the line
+    loop reads.
+
+    The lines are joined with ",\\n", so the newline stays and a string
+    cannot run on across a line end. The result is taken only when every
+    line starts with "{", the body holds no other "{", and the array holds
+    one dict per line: the "{" of each dict is then the start of its own
+    line, so each line holds exactly that one object (and whitespace after
+    it). A blank line, a torn tail or an answer holding "{" fails one of
+    these checks, and the caller reads the body line by line.
+    """
+    if body.endswith("\n"):
+        body = body[:-1]
+    if not body:
+        return []
+    joined = body.replace("\n", ",\n")
+    lines = len(joined) - len(body) + 1
+    if not body.count("{") == lines == body.count("\n{") + body.startswith("{"):
+        return None
+    try:
+        records = json.loads(f"[{joined}]")
+    except (json.JSONDecodeError, RecursionError):  # the array nests one level deeper
+        return None
+    if len(records) != lines or not all(type(record) is dict for record in records):
+        return None
+    return enumerate(records, 2)
+
+
+def _line_records(text: str, body: int):
+    """(line number, record) of each record line of `text` from offset
+    `body`, decoded line by line."""
     size = len(text)
     pos, line_no = body, 2
     while pos < size:
@@ -235,19 +302,8 @@ def load_answers(path: str | Path) -> AnswerSet:
         if stop != end or type(record) is not dict:
             record = _odd_line(text[pos:end], line_no, last=end + 1 >= size)
         if record is not None:
-            key = (record.get("lang"), record.get("item"))
-            answer = record.get("text")
-            if type(key[0]) is not str or type(key[1]) is not str or type(answer) is not str:
-                raise DatasetFormatError(
-                    "answer record needs string lang, item and text", line=line_no
-                )
-            answers[key] = unicodedata.normalize("NFC", answer)
-            raw[key] = record.get("raw", answer)
-            statuses[key] = record.get("status", STATUS_OK)
-            if "attempts" in record:
-                answer_set.attempts[key] = record["attempts"]
+            yield line_no, record
         pos, line_no = end + 1, line_no + 1
-    return answer_set
 
 
 def _odd_line(line: str, line_no: int, last: bool) -> dict | None:

@@ -15,9 +15,11 @@ Cache file layout (little-endian, append-only):
     record  sha256(32 raw bytes) + dims * f32, repeated
 
 Every record has the same size, so opening reads the file once and views
-the records as one array. A crash can leave only a torn final record, the
-bytes past the last whole one; they are ignored, and cut off before the
-next append. Without a path the same cache lives in memory only.
+the records as one array. A new file is written with its first record, so
+a run that stores no vector leaves no file. A crash can leave only a torn
+final record, the bytes past the last whole one; they are ignored, and cut
+off before the next append. Without a path the same cache lives in memory
+only.
 """
 
 from __future__ import annotations
@@ -33,7 +35,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CacheFormatError, CacheMissError, DimensionMismatchError, ProviderError
+from .errors import (
+    CacheFormatError,
+    CacheMissError,
+    DimensionMismatchError,
+    ProviderError,
+    XlconsistError,
+)
 from .transport import RETRY_ERRORS, RetryPolicy, Transport, is_http_url
 
 _FILE_MAGIC = b"XLCVEC2\n"
@@ -63,15 +71,10 @@ class VectorCache:
         self._rows: dict[bytes, int] = {}  # key -> row of _matrix
         self._matrix = np.zeros((0, 0), dtype="<f4")
         self._size = 0  # rows of _matrix in use
-        self._end = len(_FILE_MAGIC)  # end of the last whole record
+        self._end = 0  # end of the last whole record; 0 while the file is absent or empty
         self._file = None  # opened by the first append
-        if self.path is None:
-            return
-        if self.path.exists() and self.path.stat().st_size > 0:
+        if self.path is not None and self.path.exists() and self.path.stat().st_size > 0:
             self._load()
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_bytes(_FILE_MAGIC)
 
     def _load(self):
         data = self.path.read_bytes()
@@ -82,6 +85,7 @@ class VectorCache:
             )
         if not data.startswith(_FILE_MAGIC):
             raise CacheFormatError(f"{self.path} is not a vector cache file")
+        self._end = len(_FILE_MAGIC)
         if len(data) < _HEADER_BYTES:
             return  # no record yet, or a torn first one
         (self.dims,) = struct.unpack_from("<I", data, len(_FILE_MAGIC))
@@ -147,12 +151,18 @@ class VectorCache:
             self._size += 1
 
     def _append(self, record: bytes) -> None:
-        if self._file is None:
-            if self.path.stat().st_size > self._end:
-                os.truncate(self.path, self._end)  # cut a torn final record
-            self._file = open(self.path, "ab")
-        self._file.write(record)
-        self._file.flush()
+        try:
+            if self._file is None:
+                if not self._end:  # a new file: the magic goes with the first record
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
+                    record = _FILE_MAGIC + record
+                elif self.path.stat().st_size > self._end:
+                    os.truncate(self.path, self._end)  # cut a torn final record
+                self._file = open(self.path, "ab")
+            self._file.write(record)
+            self._file.flush()
+        except OSError as exc:
+            raise XlconsistError(f"cannot write the vector cache {self.path}: {exc}") from exc
 
     def close(self) -> None:
         with self._lock:

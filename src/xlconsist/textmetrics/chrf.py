@@ -10,10 +10,14 @@ one-pair case. Each distinct string is prepared once (NFC, optional
 casefold, whitespace strip and split), and strings with equal prepared
 forms share one index. A pair of equal forms scores 1.0 without the
 n-gram pass (0.0 when the form has no n-gram). For the other pairs, code
-points and word tokens become integer symbols, and the n-grams of order n get exact integer ids from
-`np.unique` over (order n-1 id, next symbol), so no gram is hashed and no
-two grams can share an id. A pair's clipped overlap at each order is the
-sum over the hypothesis's distinct grams of min(hypothesis count,
+points and word tokens become dense integer symbols, numbered once per
+chunk, and an order-n gram's id is (its order n-1 prefix's id) *
+n_symbols + its last symbol. So no gram is hashed, no two grams share an
+id, and no order sorts its ids, except that the grams are numbered
+afresh, by one sort, at an order whose (string, gram) keys would
+otherwise outgrow an int64. Ids only need to be distinct, so every score
+is the same whatever they are. A pair's clipped overlap at each order is
+the sum over the hypothesis's distinct grams of min(hypothesis count,
 reference count), read from sorted (string, gram) counts. Pairs run in
 chunks of at most CHUNK_CHARS characters to bound memory.
 """
@@ -23,6 +27,8 @@ from __future__ import annotations
 import math
 import unicodedata
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, count, repeat
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +36,10 @@ import numpy as np
 # upper bound on the characters (hypothesis plus reference, summed over
 # pairs) that one chunk of a batch holds; a longer single pair runs alone
 CHUNK_CHARS = 1 << 17
+# the largest (sequence, gram) key that _overlaps may form in an int64
+_MAX_KEY = np.iinfo(np.int64).max
+
+_nfc = partial(unicodedata.normalize, "NFC")
 
 
 def backend_name() -> str:
@@ -73,29 +83,20 @@ def chrf_batch(
     """chrF of every pair (hypotheses[k], references[k]), as `chrf` defines it."""
     if len(hypotheses) != len(references):
         raise ValueError(f"length mismatch: {len(hypotheses)} vs {len(references)}")
-    prepared: dict[str, int] = {}
-    # (stripped characters, word token ids) -> index, in first-seen order
-    forms: dict[tuple[str, tuple[int, ...]], int] = {}
-    tokens: dict[str, int] = {}
-
-    def prepare(raw: str) -> int:
-        index = prepared.get(raw)
-        if index is None:
-            text = unicodedata.normalize("NFC", raw)
-            if cfg.case_fold:
-                text = text.casefold()
-            split = text.split()
-            form = (
-                "".join(split),
-                tuple(tokens.setdefault(token, len(tokens)) for token in split)
-                if cfg.word_ngram_max > 0
-                else (),
-            )
-            index = prepared[raw] = forms.setdefault(form, len(forms))
-        return index
-
-    hyp = [prepare(text) for text in hypotheses]
-    ref = [prepare(text) for text in references]
+    # each distinct string is prepared once; strings with equal
+    # (stripped characters, word tokens) forms share one index, numbered in
+    # first-seen order
+    raws = dict.fromkeys(chain(hypotheses, references))
+    texts = map(_nfc, raws)
+    if cfg.case_fold:
+        texts = map(str.casefold, texts)
+    splits = list(map(str.split, texts))
+    forms: dict[tuple[str, tuple[str, ...]], int] = {}
+    tokens = map(tuple, splits) if cfg.word_ngram_max > 0 else repeat(())
+    index = [forms.setdefault(form, len(forms)) for form in zip(map("".join, splits), tokens)]
+    prepared = dict(zip(raws, index))
+    hyp = list(map(prepared.__getitem__, hypotheses))
+    ref = list(map(prepared.__getitem__, references))
     chars = [form[0] for form in forms]
     words = [form[1] for form in forms]
     # equal forms give p = r = 1 at every order that has n-grams, so
@@ -125,38 +126,56 @@ def _fill(scores, pairs, hyp, ref, chars, words, cfg) -> None:
 def _score_chunk(hyp, ref, chars, words, cfg) -> list[float]:
     seqs, inverse = np.unique(np.array(hyp + ref, dtype=np.int64), return_inverse=True)
     hyp, ref = inverse[: len(hyp)], inverse[len(hyp) :]
-    text = "".join(chars[s] for s in seqs)
-    symbols = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    lengths = np.array([len(chars[s]) for s in seqs], dtype=np.int64)
-    stats = _order_stats(symbols.astype(np.int64), lengths, hyp, ref, cfg.char_ngram_max)
+    seqs = seqs.tolist()
+    texts = list(map(chars.__getitem__, seqs))
+    text = "".join(texts)
+    code_points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    # each code point's rank among those that occur: a table lookup, no sort
+    occurs = np.zeros(int(code_points.max(initial=0)) + 1, dtype=bool)
+    occurs[code_points] = True
+    rank = np.cumsum(occurs) - 1
+    lengths = np.fromiter(map(len, texts), np.int64, len(seqs))
+    stats = _order_stats(
+        rank[code_points], int(rank[-1]) + 1, lengths, hyp, ref, cfg.char_ngram_max
+    )
     if cfg.word_ngram_max > 0:
-        ids = [token for s in seqs for token in words[s]]
-        lengths = np.array([len(words[s]) for s in seqs], dtype=np.int64)
+        sequences = list(map(words.__getitem__, seqs))
+        tokens = list(chain.from_iterable(sequences))
+        ids = dict(zip(dict.fromkeys(tokens), count()))  # in first-seen order
+        lengths = np.fromiter(map(len, sequences), np.int64, len(seqs))
         stats += _order_stats(
-            np.array(ids, dtype=np.int64), lengths, hyp, ref, cfg.word_ngram_max
+            np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens)),
+            len(ids), lengths, hyp, ref, cfg.word_ngram_max,
         )
     return _average_fscores(stats, cfg.beta * cfg.beta, len(hyp))
 
 
-def _order_stats(symbols, lengths, hyp, ref, max_n):
+def _order_stats(symbols, n_symbols, lengths, hyp, ref, max_n):
     """Per order 1..max_n: (hypothesis totals, reference totals, overlaps),
     each an int64 array over the pairs. `symbols` holds every sequence's
-    symbols back to back; sequence s has lengths[s] of them; pair k scores
-    sequence hyp[k] against sequence ref[k]."""
+    symbols back to back, as ids below n_symbols; sequence s has lengths[s]
+    of them; pair k scores sequence hyp[k] against sequence ref[k].
+
+    An order-n gram's id is (its order n-1 prefix's id) * n_symbols + its
+    last symbol: exact, and so n_symbols**n ids wide. Only where the
+    (sequence, gram) keys of `_overlaps` would outgrow an int64 are the
+    grams that occur numbered from 0 again, by one sort."""
     ends = np.cumsum(lengths)
     seq_of = np.repeat(np.arange(len(lengths)), lengths)
     pos = np.arange(len(symbols))
     gram = symbols
-    n_symbols = n_ids = int(symbols.max()) + 1 if len(symbols) else 1
+    n_symbols = n_ids = max(n_symbols, 1)
     stats = []
     for n in range(1, max_n + 1):
         if n > 1:
             # positions whose n-gram still fits inside its own sequence
             fits = pos + (n - 1) < ends[seq_of]
             pos, seq_of, gram = pos[fits], seq_of[fits], gram[fits]
-            key = gram * n_symbols + symbols[pos + (n - 1)]
-            grams, gram = np.unique(key, return_inverse=True)
-            n_ids = len(grams)
+            if (len(lengths) + 1) * n_ids * n_symbols > _MAX_KEY:
+                grams, gram = np.unique(gram, return_inverse=True)
+                n_ids = max(len(grams), 1)
+            gram = gram * n_symbols + symbols[pos + (n - 1)]
+            n_ids *= n_symbols
         totals = np.maximum(lengths - (n - 1), 0)
         stats.append((totals[hyp], totals[ref], _overlaps(seq_of, gram, n_ids, hyp, ref)))
     return stats

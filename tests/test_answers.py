@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from xlconsist import answers as answers_module
 from xlconsist.answers import (
     AnswerColumns,
     AnswerSet,
@@ -36,6 +37,11 @@ CLEAN = [
     record("ja", "q2", "東京"),
 ]
 
+# a record whose nested array holds an object, split inside the array so
+# that its second line starts with that object's "{"
+SPLIT_NESTED = record("en", "q3", "Rome", tags=[1, {"k": 2}]).replace(", {", "\n{", 1)
+BRACED = record("en", "q4", "{x}")
+
 # (name, body after the header line)
 STORES = [
     ("clean", "\n".join(CLEAN) + "\n"),
@@ -56,6 +62,19 @@ STORES = [
     ("string, not an object", CLEAN[0] + '\n"text"\n' + CLEAN[1] + "\n"),
     # three lines that "[" + ",".join(lines) + "]" would decode as three objects
     ("joined-array trap", '{"a":"x}\n{"}\n{"c":1},{"d":2}\n'),
+    # three lines that "[" + ",\n".join(lines) + "]" decodes as three objects:
+    # a line that does not start with "{" ...
+    ("split flat record, then two records on a line", CLEAN[0] + "\n"
+     + CLEAN[1].replace(", ", "\n", 1) + "\n" + CLEAN[2] + ", " + CLEAN[3] + "\n"),
+    # ... or a line whose "{" opens an object nested in the line before
+    ("split nested array, then two records on a line", CLEAN[0] + "\n"
+     + SPLIT_NESTED + "\n" + CLEAN[2] + ", " + CLEAN[3] + "\n"),
+    # two lines that "[" + ",\n".join(lines) + "]" decodes as fewer objects ...
+    ("split nested array", CLEAN[0] + "\n" + SPLIT_NESTED + "\n" + CLEAN[2] + "\n"),
+    # ... or as two values, one of them not an object
+    ("record, then an array around the next", CLEAN[0] + ", [1\n" + CLEAN[1] + "]\n"),
+    # a whole store, but an answer holds "{": read line by line
+    ("answer holding a brace", "\n".join(CLEAN) + "\n" + BRACED + "\n"),
 ]
 
 
@@ -103,6 +122,22 @@ def test_loader_matches_per_line_loop(tmp_path, name, body):
     assert outcome(load_answers, path) == outcome(per_line_load, path)
 
 
+@pytest.mark.parametrize("name, body", STORES, ids=[s[0] for s in STORES])
+def test_only_a_store_whose_braces_start_its_lines_is_decoded_in_one_call(tmp_path, monkeypatch,
+                                                                        name, body):
+    def line_records(text, body):
+        line_loop.append(True)
+        return real_line_records(text, body)
+
+    line_loop, real_line_records = [], answers_module._line_records
+    monkeypatch.setattr(answers_module, "_line_records", line_records)
+    path = tmp_path / "a.jsonl"
+    path.write_bytes((header() + "\n" + body).encode("utf-8"))
+    outcome(load_answers, path)
+    one_call = name in ("clean", "no trailing newline", "crlf")
+    assert line_loop == ([] if one_call else [True])
+
+
 def test_loader_reads_the_expected_cells(tmp_path):
     path = tmp_path / "a.jsonl"
     path.write_text(header() + "\n" + "\n".join(CLEAN) + "\n", encoding="utf-8")
@@ -123,8 +158,13 @@ def test_loader_reads_the_expected_cells(tmp_path):
         (CLEAN[0] + "\n" + CLEAN[1] + CLEAN[2] + "\n" + CLEAN[3], 3, "invalid answer record"),
         (CLEAN[0] + "\n[1, 2]\n" + CLEAN[1] + "\n", 3, "not a JSON object"),
         ('{"a":"x}\n{"}\n{"c":1},{"d":2}\n', 2, "invalid answer record"),
+        (CLEAN[0] + "\n" + CLEAN[1].replace(", ", "\n", 1) + "\n" + CLEAN[2] + ", " + CLEAN[3],
+         3, "invalid answer record"),
+        (CLEAN[0] + "\n" + SPLIT_NESTED + "\n" + CLEAN[2] + ", " + CLEAN[3], 3,
+         "invalid answer record"),
     ],
-    ids=["torn interior", "two records", "not an object", "joined-array trap"],
+    ids=["torn interior", "two records", "not an object", "joined-array trap",
+         "split flat record", "split nested array"],
 )
 def test_bad_interior_line_names_its_line(tmp_path, body, line, message):
     path = tmp_path / "a.jsonl"

@@ -280,6 +280,20 @@ def test_score_with_a_cache_it_cannot_read_exits_one(runner, tmp_path, content, 
     assert not (tmp_path / "out").exists()
 
 
+def test_score_with_a_cache_it_cannot_create_exits_one(runner, tmp_path):
+    # the cache file is created with its first vector, so the error comes
+    # from that write, not from opening the cache
+    blocker = tmp_path / "not_a_directory"
+    blocker.write_text("", encoding="utf-8")
+    result = runner.invoke(cli, [
+        "score", "--dataset", str(bundled_fixture_path()), "--ground-truth",
+        "--out-dir", str(tmp_path / "out"), "--cache", str(blocker / "c.bin"),
+        "--provider-kind", "mock",
+    ])
+    _one_line_error(result, str(blocker))
+    assert not (tmp_path / "out").exists()
+
+
 def _embed_args(tmp_path, *extra):
     return [
         "embed", "--dataset", str(bundled_fixture_path()),

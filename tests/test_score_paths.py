@@ -2,7 +2,8 @@
 (two CPUs in the affinity mask) or inline (one CPU). Each writes the same
 files and fails with the same exit code and message, checked in the same
 order: settings (provider, chrF and modes), dataset errors, store errors,
-then the scoring checks and missing answers."""
+then the scoring checks and missing answers. A refused run writes no
+file: no report and no vector cache."""
 
 import json
 import os
@@ -156,6 +157,18 @@ def store_without_header(dataset, store):
     _edit_lines(store, lambda lines: lines[1:])
 
 
+def header_not_an_object(dataset, store):
+    _edit_lines(store, lambda lines: ['["x"]', *lines[1:]])
+
+
+def header_seed(seed):
+    def damage(dataset, store):
+        _edit_lines(store, lambda lines: [
+            json.dumps({**json.loads(lines[0]), "seed": seed}), *lines[1:]])
+
+    return damage
+
+
 def missing_answers(dataset, store):
     fixture = mini_fixture()
     extra = QAItem("extra-1", "geography", "Chile", "capital",
@@ -193,6 +206,12 @@ ZERO_DIMS = (2, "Error: expected_dims must be >= 1")
 ERROR_CASES = {
     "malformed-store-line": ([malformed_store_line], MALFORMED_STORE),
     "store-without-header": ([store_without_header], NO_HEADER),
+    "header-not-an-object": (
+        [header_not_an_object], (1, "Error: line 1: header is not a JSON object")),
+    "header-seed-string": (
+        [header_seed("abc")], (1, "Error: line 1: header seed must be an integer, got 'abc'")),
+    "header-seed-null": (
+        [header_seed(None)], (1, "Error: line 1: header seed must be an integer, got None")),
     "missing-answers": ([missing_answers], MISSING),
     "misaligned-dataset": ([misaligned_dataset], MISALIGNED),
     "dims-0": ([zero_dims], ZERO_DIMS),
@@ -220,6 +239,7 @@ def test_error_gives_the_same_exit_code_and_message_on_both_paths(tmp_path, path
     assert (result.exit_code, result.exception.__class__) == (exit_code, SystemExit), result.output
     assert message + "\n" in result.output
     assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out.bin").exists()  # no vector cache either
 
 
 def test_provenance_keeps_the_store_header_apart_from_the_run(tmp_path, path):

@@ -1,5 +1,6 @@
 import importlib
 import math
+import random
 import re
 import unicodedata
 
@@ -234,3 +235,24 @@ def test_chunked_batch_equals_oracle(monkeypatch, chunk_chars, cfg, options):
     refs = [ref for _, ref in BATCH_PAIRS]
     expected = [oracle_chrf(hyp, ref, **options) for hyp, ref in BATCH_PAIRS]
     assert chrf_batch(hyps, refs, cfg) == expected
+
+
+def test_batch_whose_gram_ids_outgrow_int64_equals_each_pair_alone():
+    # 3,000 pairs over 20,000 CJK code points: a chunk of them holds so many
+    # distinct symbols that (sequence, gram) keys outgrow an int64 by order
+    # 4, so the kernel numbers the grams afresh there; one pair alone never
+    # comes near that
+    rng = random.Random(4)
+    alphabet = [chr(0x4E00 + k) for k in range(20_000)]
+
+    def text():
+        return "".join(rng.choices(alphabet, k=rng.randint(6, 14)))
+
+    hyps = [text() for _ in range(3_000)]
+    refs = [hyp[: rng.randint(0, len(hyp))] + text() for hyp in hyps]  # some shared grams
+    symbols = len(set("".join(hyps + refs)))
+    assert (2 * len(hyps) + 1) * symbols**4 > 2**63  # one chunk; it overflows
+    batch = chrf_batch(hyps, refs)
+    assert batch == [chrf(hyp, ref) for hyp, ref in zip(hyps, refs)]
+    for score, hyp, ref in zip(batch, hyps, refs):
+        assert abs(score - brute_force_chrf(hyp, ref)) <= 1e-12
