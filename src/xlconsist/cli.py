@@ -347,6 +347,8 @@ def score(config_path, dataset_path, answers_path, ground_truth, out_dir, cache_
           provider_kind, endpoint, dims, batch_size, languages, seed, xtc_mode, tau,
           include_timeliness):
     """Compute xSC/xAC/xTC/xC and write the report files."""
+    if ground_truth and answers_path is not None:
+        raise click.UsageError("--ground-truth and --answers cannot be used together")
     config = load_run_config(config_path)
     dataset_path = _require_file(_pick(dataset_path, config, "dataset"), "dataset")
     out_dir = _pick(out_dir, config, "out_dir")

@@ -554,8 +554,11 @@ def collect_answers(
         if None not in (was, wanted) and was != wanted:  # None: nothing to compare
             raise XlconsistError(f"{store_path} {refusal}; refusing to mix")
     started = _now()
-    if stored.statuses and manifest_path.exists():  # a resumed run keeps its start
-        started = RunManifest.load(manifest_path).started_at or started
+    if stored.statuses:  # a resumed run keeps its start
+        try:
+            started = RunManifest.load(manifest_path).started_at or started
+        except (OSError, ValueError, LookupError, TypeError):
+            pass  # no manifest, or one torn by a kill while it was written
 
     pending = []
     for item, domain in cells:

@@ -551,6 +551,18 @@ def correlate_matrices(consistency: PairMatrix, external: PairMatrix) -> MatrixC
     )
 
 
+def _table(data: dict, key: str, kinds, what: str) -> dict:
+    """`data[key]` ({} when absent), an object whose values are `kinds` and
+    not bools; else ValueError naming the key."""
+    table = data.get(key, {})
+    if not isinstance(table, dict):
+        raise ValueError(f"{key!r} is not an object")
+    for name, value in table.items():
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(f"{key!r} value {name!r} is not {what}")
+    return table
+
+
 @dataclass
 class ConsistencyReport:
     xsc: float
@@ -598,6 +610,9 @@ class ConsistencyReport:
                     raise ValueError(f"metric {key!r} is not a number")
             if not isinstance(metrics["xc_degenerate"], bool):
                 raise ValueError("metric 'xc_degenerate' is not a boolean")
+            provenance = data.get("provenance", {})
+            if not isinstance(provenance, dict):
+                raise ValueError("'provenance' is not an object")
             return cls(
                 xsc=metrics["xsc"],
                 xac=metrics["xac"],
@@ -607,9 +622,9 @@ class ConsistencyReport:
                 matrices={
                     name: PairMatrix.from_jsonable(m) for name, m in data["matrices"].items()
                 },
-                domain_xsc=data.get("domains", {}),
-                degenerate_pairs=data.get("degenerate_pairs", {}),
-                provenance=data.get("provenance", {}),
+                domain_xsc=_table(data, "domains", (int, float), "a number"),
+                degenerate_pairs=_table(data, "degenerate_pairs", int, "an integer"),
+                provenance=provenance,
             )
         except (LookupError, TypeError, ValueError, AttributeError) as exc:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)

@@ -1,4 +1,5 @@
-"""The answers store loader against a reference per-line loop."""
+"""The answers store's two readers, `load_answers` and `store_columns`
+(forked and inline), against a reference per-line loop."""
 
 import json
 import os
@@ -7,7 +8,7 @@ import pytest
 
 from xlconsist import answers as answers_module
 from xlconsist.answers import (
-    AnswerColumns,
+    HEADER_FIELDS,
     AnswerSet,
     load_answers,
     store_columns,
@@ -115,11 +116,60 @@ def outcome(load, path):
                            (loaded.answers, loaded.raw, loaded.statuses, loaded.attempts)])
 
 
+def read_columns(forked):
+    """store_columns through Forked: in a child (two CPUs in the affinity
+    mask) or inline (one)."""
+    def read(path):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if forked else {0},
+                          raising=False)
+            reader = Forked(store_columns, path)
+        try:
+            assert (reader._pid is not None) == forked
+            return reader.result()
+        finally:
+            reader.close()
+    return read
+
+
+# every reader of a store, each with its own checks
+READERS = [load_answers, read_columns(forked=True), read_columns(forked=False)]
+
+
+def cell(source, lang, item_id):
+    """One cell through `.columns`, None where `source` has no answer."""
+    try:
+        return source.columns([lang], [item_id])[0][0]
+    except MissingAnswersError:
+        return None
+
+
+def columns_outcome(read, path):
+    """The header fields, the languages and items in first-stored order and
+    every cell through `.columns` (and one language and item the store
+    lacks), or the error raised."""
+    try:
+        source = read(path)
+    except Exception as exc:  # compared by type and message
+        return ("error", type(exc).__name__, str(exc), getattr(exc, "line", None))
+    if isinstance(source, AnswerSet):
+        languages = list(dict.fromkeys(lang for lang, _ in source.answers))
+        item_ids = list(dict.fromkeys(item_id for _, item_id in source.answers))
+    else:
+        languages, item_ids = list(source.by_language), source.item_ids
+    cells = [[cell(source, lang, item_id) for item_id in [*item_ids, "absent"]]
+             for lang in [*languages, "xx"]]
+    return ("ok", [getattr(source, key) for key in HEADER_FIELDS], languages, item_ids, cells)
+
+
 @pytest.mark.parametrize("name, body", STORES, ids=[s[0] for s in STORES])
 def test_loader_matches_per_line_loop(tmp_path, name, body):
     path = tmp_path / "a.jsonl"
     path.write_bytes((header() + "\n" + body).encode("utf-8"))
     assert outcome(load_answers, path) == outcome(per_line_load, path)
+    expected = columns_outcome(per_line_load, path)
+    for read in READERS:
+        assert columns_outcome(read, path) == expected
 
 
 @pytest.mark.parametrize("name, body", STORES, ids=[s[0] for s in STORES])
@@ -169,9 +219,10 @@ def test_loader_reads_the_expected_cells(tmp_path):
 def test_bad_interior_line_names_its_line(tmp_path, body, line, message):
     path = tmp_path / "a.jsonl"
     path.write_text(header() + "\n" + body, encoding="utf-8")
-    with pytest.raises(DatasetFormatError, match=message) as excinfo:
-        load_answers(path)
-    assert excinfo.value.line == line
+    for read in READERS:
+        with pytest.raises(DatasetFormatError, match=message) as excinfo:
+            read(path)
+        assert excinfo.value.line == line
 
 
 def test_final_line_torn_inside_a_character_is_dropped(tmp_path):
@@ -211,9 +262,10 @@ def test_record_with_a_field_that_is_not_a_string_names_its_line(tmp_path, field
     path = tmp_path / "a.jsonl"
     path.write_text(header() + "\n" + CLEAN[0] + "\n" + json.dumps(fields) + "\n" + CLEAN[1]
                     + "\n", encoding="utf-8")
-    with pytest.raises(DatasetFormatError, match="needs string lang, item and text") as excinfo:
-        load_answers(path)
-    assert excinfo.value.line == 3
+    for read in READERS:
+        with pytest.raises(DatasetFormatError, match="needs string lang, item and text") as excinfo:
+            read(path)
+        assert excinfo.value.line == 3
 
 
 # -- what scoring reads of a store, in a forked child or inline -----------------
@@ -241,8 +293,6 @@ def test_reader_gives_the_columns_of_the_loaded_store(clean_store, fork):
         columns = reader.result()
     finally:
         reader.close()
-    assert columns == AnswerColumns.of(load_answers(clean_store), ["en", "de", "ja"],
-                                       ["q1", "q2"])
     assert (columns.run_id, columns.model_id, columns.seed, columns.dataset_hash) == (
         "r", "m", 3, "abc")
     assert columns.item_ids == ["q1", "q2"]

@@ -168,6 +168,22 @@ def test_score_ground_truth_oracle(runner, tmp_path):
     assert report.provenance["answers"]["model_id"] == "ground-truth"
 
 
+def test_score_refuses_ground_truth_with_an_answers_flag(runner, tmp_path):
+    """--ground-truth never reads the store that --answers names; a config's
+    `answers:` key stays allowed with it."""
+    not_a_store = tmp_path / "notes.txt"
+    not_a_store.write_text("not a store\n", encoding="utf-8")
+    args = ["score", "--dataset", str(bundled_fixture_path()), "--ground-truth",
+            "--out-dir", str(tmp_path / "out"), "--provider-kind", "mock", "--dims", "16"]
+    _usage_error(runner.invoke(cli, [*args, "--answers", str(not_a_store)]),
+                 "--ground-truth and --answers cannot be used together")
+    assert not (tmp_path / "out").exists()
+    config = tmp_path / "run.yaml"
+    config.write_text(f"schema: xlconsist-run/1\nanswers: {not_a_store}\n", encoding="utf-8")
+    result = runner.invoke(cli, [*args, "--config", str(config)])
+    assert result.exit_code == 0, result.output
+
+
 def test_score_with_config_file_and_flag_override(runner, tmp_path):
     config = tmp_path / "run.yaml"
     config.write_text(
@@ -565,6 +581,18 @@ def _golden_json(edit):
     ("report", None, lambda tmp_path: "{not json", [], 1, ["not UTF-8 JSON"]),
     ("report", None, _golden_json(lambda r: r["metrics"].update(xsc="high")), [], 1,
      ["malformed report: metric 'xsc' is not a number"]),
+    ("report", None, _golden_json(lambda r: r["domains"].update(history="high")), [], 1,
+     ["malformed report: 'domains' value 'history' is not a number"]),
+    ("report", None, _golden_json(lambda r: r["domains"].update(history=True)), [], 1,
+     ["malformed report: 'domains' value 'history' is not a number"]),
+    ("report", None, _golden_json(lambda r: r.update(domains=[0.5])), [], 1,
+     ["malformed report: 'domains' is not an object"]),
+    ("report", None, _golden_json(lambda r: r["degenerate_pairs"].update(xac="many")), [], 1,
+     ["malformed report: 'degenerate_pairs' value 'xac' is not an integer"]),
+    ("report", None, _golden_json(lambda r: r["degenerate_pairs"].update(xtc=False)), [], 1,
+     ["malformed report: 'degenerate_pairs' value 'xtc' is not an integer"]),
+    ("report", None, _golden_json(lambda r: r.update(provenance=["seed"])), [], 1,
+     ["malformed report: 'provenance' is not an object"]),
     ("score", "--config", lambda tmp_path: "schema: [xlconsist-run/1\n", [], 2,
      ["not a YAML run config"]),
     ("score", "--config", lambda tmp_path: "- chrf\n- modes\n", [], 2,
@@ -599,7 +627,9 @@ def _golden_json(edit):
      ["--variant", "p3"], 1, ["no paraphrase for item 'geo-01' in language 'de'"]),
 ], ids=["correlate-rows-out-of-order", "correlate-not-a-matrix", "correlate-not-a-number",
         "correlate-no-common-cells", "report-other-schema", "report-missing-key",
-        "report-not-json", "report-metric-not-a-number", "config-not-yaml", "config-a-list",
+        "report-not-json", "report-metric-not-a-number", "report-domain-not-a-number",
+        "report-domain-a-bool", "report-domains-a-list", "report-degenerate-pairs-a-string",
+        "report-degenerate-pairs-a-bool", "report-provenance-a-list", "config-not-yaml", "config-a-list",
         "config-section-not-a-mapping", "case-fold-string", "include-timeliness-string",
         "languages-a-number", "xtc-mode-unknown", "tau-nan", "tau-above-one", "beta-nan", "cut-at-newline-string",
         "templates-not-json",
