@@ -137,14 +137,6 @@ def _provider_config(config, kind, endpoint, dims, batch_size, seed) -> Embeddin
         raise click.UsageError(str(exc))
 
 
-def _open_cache(path) -> VectorCache:
-    """The vector cache at `path`; exit 1 with one line when it cannot be used."""
-    try:
-        return VectorCache(path)
-    except OSError as exc:
-        raise click.ClickException(str(exc))
-
-
 def _scoring_config(config, xtc_mode, tau, include_timeliness) -> ScoringConfig:
     try:
         return ScoringConfig(
@@ -263,7 +255,6 @@ def collect(config_path, dataset_path, store_path, endpoint, model, shots, seed,
 
     answers, manifest = collect_answers(
         dataset,
-        dataset.languages,
         cfg,
         store_path,
         run_id=_pick(run_id, config, "run_id", default="run"),
@@ -313,7 +304,7 @@ def embed(config_path, dataset_path, answers_path, cache_path, provider_kind, en
             if (lang, item_id) in answers.answers
         }
     )
-    with _open_cache(cache_path) as cache:
+    with VectorCache(cache_path) as cache:
         embedder = Embedder(provider, cache)
         try:
             embedder.embed_batch(texts)
@@ -371,7 +362,7 @@ def score(config_path, dataset_path, answers_path, ground_truth, out_dir, cache_
         dataset = _load_dataset(dataset_path, subset)
         digest = dataset_hash(dataset)
         answers = ground_truth_answers(dataset) if ground_truth else store.result()
-        cache = _open_cache(cache_path) if cache_path else VectorCache()
+        cache = VectorCache(cache_path or None)
         embedder = Embedder(provider, cache)
         try:
             report = build_report(answers, dataset, embedder, scoring, dataset_hash=digest)

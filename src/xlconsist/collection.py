@@ -25,6 +25,7 @@ import http.client
 import json
 import logging
 import math
+import os
 import random
 import selectors
 import time
@@ -240,6 +241,18 @@ def _completion_text(document) -> str:
     return str(document["choices"][0]["message"]["content"])
 
 
+def _replace_file(path: str | Path, text: str) -> None:
+    """Write `text` and a newline as the file at `path`: into a temporary
+    file beside it, then `os.replace`, so a write cut short leaves the
+    previous file whole and no temporary file behind."""
+    temporary = Path(f"{path}.tmp")
+    try:
+        temporary.write_text(text + "\n", encoding="utf-8")
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
+
+
 @dataclass
 class RunManifest:
     """Everything needed to reconstruct any request of a collection run."""
@@ -263,10 +276,7 @@ class RunManifest:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
         }
-        Path(path).write_text(
-            json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
-        )
+        _replace_file(path, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=1))
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
@@ -349,7 +359,7 @@ class _CollectStats:
             "latency_ms_p50": _nearest_rank(ordered, 50),
             "latency_ms_p95": _nearest_rank(ordered, 95),
         }
-        Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+        _replace_file(path, json.dumps(payload, indent=1))
 
 
 @dataclass(eq=False)
@@ -486,7 +496,6 @@ class _CellLoop:
 
 def collect_answers(
     dataset: Dataset,
-    languages,
     cfg: CollectionConfig,
     store_path: str | Path,
     *,
@@ -497,7 +506,9 @@ def collect_answers(
     retry_failed: bool = False,
     progress=None,
 ) -> tuple[AnswerSet, RunManifest]:
-    """Collect one answer per (language, item); resumable and rate-limited.
+    """Collect one answer per (language, item) of `dataset` (cut it with
+    `Dataset.subset` first to collect some languages); resumable and
+    rate-limited.
 
     Every cell's question is built first, so a cell without one (a p2
     cell without a template, a p3 cell without a paraphrase) raises before
@@ -507,14 +518,11 @@ def collect_answers(
     `AuthenticationError`. No request is sent after that, every
     connection and the store are closed, and the cells already stored
     survive and are skipped on the next call. Writes
-    `<store>.manifest.json` and `<store>.stats.json` when the run ends.
+    `<store>.manifest.json` and `<store>.stats.json` when the run ends,
+    each replacing the previous file whole.
     """
     store_path = Path(store_path)
-    languages = list(languages)
-    missing = [lang for lang in languages if lang not in dataset.languages]
-    if missing:
-        raise XlconsistError(f"languages not in dataset: {missing}")
-
+    languages = dataset.languages
     cells = list(_items_with_domains(dataset))
     exemplars_by_domain = {
         domain: sample_exemplars(

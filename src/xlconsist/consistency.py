@@ -52,6 +52,27 @@ PROSE = "prose"
 FORMULA = "formula"
 
 
+@dataclass(frozen=True)
+class ScoringConfig:
+    """The settings of every metric, checked once here: the chrF settings
+    (xAC, xTC), whether the timeliness items join the QA items in xSC and
+    xAC, and xTC's recency weighting (`xtc_mode`, and the floor `tau`)."""
+
+    chrf: ChrfConfig = DEFAULT_CHRF
+    xtc_mode: str = PROSE
+    tau: float = 0.0
+    include_timeliness: bool = False
+
+    def __post_init__(self):
+        if self.xtc_mode not in (PROSE, FORMULA):
+            raise ValueError(f"xtc_mode must be {PROSE!r} or {FORMULA!r}, got {self.xtc_mode!r}")
+        if not 0.0 <= self.tau <= 1.0:  # also refuses NaN
+            raise ValueError(f"tau must be within [0, 1], got {self.tau!r}")
+
+
+DEFAULT_SCORING = ScoringConfig()
+
+
 @dataclass
 class PairMatrix:
     """L x L symmetric matrix of per-language-pair values, diagonal unset."""
@@ -171,10 +192,10 @@ class PairMatrix:
         return cls(languages, values)
 
 
-def _select_items(dataset: Dataset, include_timeliness=False):
+def _select_items(dataset: Dataset, scoring: ScoringConfig):
     """(QA items, timeliness items) that xSC and xAC score: every QA item,
     then the timeliness items when included."""
-    return dataset.qa_items, dataset.timeliness_items if include_timeliness else ()
+    return dataset.qa_items, dataset.timeliness_items if scoring.include_timeliness else ()
 
 
 def _item_ids(*groups) -> list[str]:
@@ -198,16 +219,17 @@ def xsc(
     answers: AnswerSet,
     dataset: Dataset,
     embedder,
-    *,
-    include_timeliness: bool = False,
+    scoring: ScoringConfig = DEFAULT_SCORING,
 ) -> MetricResult:
     """Cross-lingual semantic consistency: mean pairwise answer cosine.
 
-    `answers` is read through its `columns` method only."""
+    Of `scoring` it reads `include_timeliness` (score the timeliness items
+    after the QA items). `answers` is read through its `columns` method
+    only."""
     languages = dataset.languages
     if len(languages) < 2:
         raise InsufficientDataError("xsc needs at least 2 languages")
-    item_ids = _item_ids(*_select_items(dataset, include_timeliness))
+    item_ids = _item_ids(*_select_items(dataset, scoring))
     if not item_ids:
         raise InsufficientDataError("no items selected for xsc")
     return _xsc(languages, answers.columns(languages, item_ids), embedder)
@@ -253,7 +275,7 @@ def _score_share(jobs, cfg: ChrfConfig) -> list[list[float]]:
     return [chrf_batch(hypotheses, references, cfg) for hypotheses, references in jobs]
 
 
-def _accuracy_jobs(answers: AnswerSet, dataset: Dataset, include_timeliness: bool):
+def _accuracy_jobs(answers: AnswerSet, dataset: Dataset, scoring: ScoringConfig):
     """(each language's answers to the items xac scores, one chrF job per
     language), checked as xac checks them. A job scores each answer (a
     column over the qa items, then the timeliness items) against its
@@ -261,7 +283,7 @@ def _accuracy_jobs(answers: AnswerSet, dataset: Dataset, include_timeliness: boo
     languages = dataset.languages
     if len(languages) < 2:
         raise InsufficientDataError("xac needs at least 2 languages")
-    qa, timeliness = _select_items(dataset, include_timeliness)
+    qa, timeliness = _select_items(dataset, scoring)
     columns = answers.columns(languages, _item_ids(qa, timeliness))
     count = len(qa) + len(timeliness)
     if count < 2:
@@ -277,15 +299,13 @@ def _accuracy_jobs(answers: AnswerSet, dataset: Dataset, include_timeliness: boo
 
 
 def accuracy_vectors(
-    answers: AnswerSet,
-    dataset: Dataset,
-    chrf_cfg: ChrfConfig = DEFAULT_CHRF,
-    *,
-    include_timeliness: bool = False,
+    answers: AnswerSet, dataset: Dataset, scoring: ScoringConfig = DEFAULT_SCORING
 ) -> dict[str, np.ndarray]:
-    """Per-language chrF of each answer against its own-language ground truth."""
-    _, jobs = _accuracy_jobs(answers, dataset, include_timeliness)
-    return _accuracy_vectors(dataset, _score_share(jobs, chrf_cfg))
+    """Per-language chrF (`scoring.chrf`) of each answer against its
+    own-language ground truth, over the items that `scoring.include_timeliness`
+    selects."""
+    _, jobs = _accuracy_jobs(answers, dataset, scoring)
+    return _accuracy_vectors(dataset, _score_share(jobs, scoring.chrf))
 
 
 def _accuracy_vectors(dataset: Dataset, scores) -> dict[str, np.ndarray]:
@@ -311,50 +331,42 @@ def _rank_result(languages, vectors) -> MetricResult:
 
 
 def xac(
-    answers: AnswerSet,
-    dataset: Dataset,
-    chrf_cfg: ChrfConfig = DEFAULT_CHRF,
-    *,
-    include_timeliness: bool = False,
+    answers: AnswerSet, dataset: Dataset, scoring: ScoringConfig = DEFAULT_SCORING
 ) -> MetricResult:
     """Cross-lingual accuracy consistency: Spearman of accuracy vectors.
 
-    Degenerate pairs (a constant accuracy vector on either side) score 0
-    and stay in the denominator; their count is carried on the matrix.
+    Of `scoring` it reads `chrf` and `include_timeliness`, as
+    `accuracy_vectors` does. Degenerate pairs (a constant accuracy vector
+    on either side) score 0 and stay in the denominator; their count is
+    carried on the matrix.
     """
-    vectors = accuracy_vectors(answers, dataset, chrf_cfg, include_timeliness=include_timeliness)
+    vectors = accuracy_vectors(answers, dataset, scoring)
     return _rank_result(dataset.languages, vectors)
 
 
 def timeliness_score(
-    answer: str,
-    candidates,
-    chrf_cfg: ChrfConfig = DEFAULT_CHRF,
-    mode: str = PROSE,
-    tau: float = 0.0,
+    answer: str, candidates, scoring: ScoringConfig = DEFAULT_SCORING
 ) -> float:
     """Recency-weighted match against candidates ordered newest-first.
 
-    prose mode (default): chrF of the best-matching candidate divided by
-    its rank (ties go to the newest). formula mode: best chrF divided by
-    the number of candidates, kept for faithfulness audits. Scores below
-    tau are floored to zero.
+    chrF is `scoring.chrf`. `scoring.xtc_mode` prose (default): chrF of the
+    best-matching candidate divided by its rank (ties go to the newest).
+    formula: best chrF divided by the number of candidates, kept for
+    faithfulness audits. A best chrF below `scoring.tau` scores zero.
     """
     candidates = list(candidates)
-    scores = chrf_batch([answer] * len(candidates), candidates, chrf_cfg)
-    return _recency_weighted(scores, mode, tau)
+    scores = chrf_batch([answer] * len(candidates), candidates, scoring.chrf)
+    return _recency_weighted(scores, scoring)
 
 
-def _recency_weighted(scores: list[float], mode: str, tau: float) -> float:
+def _recency_weighted(scores: list[float], scoring: ScoringConfig) -> float:
     """One item's timeliness score from its candidates' chrF, newest first."""
     if not scores:
         raise ValueError("timeliness_score needs a nonempty candidate list")
-    if mode not in (PROSE, FORMULA):
-        raise ValueError(f"unknown mode {mode!r}")
     best = max(scores)
-    if best < tau or best == 0.0:
+    if best < scoring.tau or best == 0.0:
         return 0.0
-    if mode == FORMULA:
+    if scoring.xtc_mode == FORMULA:
         return best / len(scores)
     rank = scores.index(best) + 1
     return best / rank
@@ -381,41 +393,36 @@ def _timeliness_jobs(answers: AnswerSet, dataset: Dataset):
 
 
 def timeliness_vectors(
-    answers: AnswerSet,
-    dataset: Dataset,
-    chrf_cfg: ChrfConfig = DEFAULT_CHRF,
-    mode: str = PROSE,
-    tau: float = 0.0,
+    answers: AnswerSet, dataset: Dataset, scoring: ScoringConfig = DEFAULT_SCORING
 ) -> dict[str, np.ndarray]:
-    """Per-language timeliness score of each timeliness item; one chrF
-    batch per language over every (answer, candidate) pair."""
+    """Per-language timeliness score (`timeliness_score` under `scoring`) of
+    each timeliness item; one chrF batch per language over every (answer,
+    candidate) pair."""
     jobs = _timeliness_jobs(answers, dataset)
-    return _timeliness_vectors(dataset, _score_share(jobs, chrf_cfg), mode, tau)
+    return _timeliness_vectors(dataset, _score_share(jobs, scoring.chrf), scoring)
 
 
-def _timeliness_vectors(dataset: Dataset, scores, mode: str, tau: float) -> dict[str, np.ndarray]:
+def _timeliness_vectors(dataset: Dataset, scores, scoring: ScoringConfig) -> dict[str, np.ndarray]:
     """Each language's job scores, cut into items, as recency-weighted scores."""
     vectors = {}
     for lang, row in zip(dataset.languages, scores):
         values, start = [], 0
         for item in dataset.timeliness_items:
             end = start + len(item.candidates[lang])
-            values.append(_recency_weighted(row[start:end], mode, tau))
+            values.append(_recency_weighted(row[start:end], scoring))
             start = end
         vectors[lang] = np.array(values)
     return vectors
 
 
 def xtc(
-    answers: AnswerSet,
-    dataset: Dataset,
-    chrf_cfg: ChrfConfig = DEFAULT_CHRF,
-    *,
-    mode: str = PROSE,
-    tau: float = 0.0,
+    answers: AnswerSet, dataset: Dataset, scoring: ScoringConfig = DEFAULT_SCORING
 ) -> MetricResult:
-    """Cross-lingual timeliness consistency over the timeliness subset."""
-    vectors = timeliness_vectors(answers, dataset, chrf_cfg, mode, tau)
+    """Cross-lingual timeliness consistency over the timeliness subset.
+
+    Of `scoring` it reads `chrf`, `xtc_mode` and `tau`, as
+    `timeliness_vectors` does; `include_timeliness` does not apply."""
+    vectors = timeliness_vectors(answers, dataset, scoring)
     return _rank_result(dataset.languages, vectors)
 
 
@@ -670,25 +677,6 @@ class ConsistencyReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ScoringConfig:
-    """What `build_report` computes: the chrF settings and the xAC/xTC modes."""
-
-    chrf: ChrfConfig = DEFAULT_CHRF
-    xtc_mode: str = PROSE
-    tau: float = 0.0
-    include_timeliness: bool = False
-
-    def __post_init__(self):
-        if self.xtc_mode not in (PROSE, FORMULA):
-            raise ValueError(f"xtc_mode must be {PROSE!r} or {FORMULA!r}, got {self.xtc_mode!r}")
-        if not 0.0 <= self.tau <= 1.0:  # also refuses NaN
-            raise ValueError(f"tau must be within [0, 1], got {self.tau!r}")
-
-
-DEFAULT_SCORING = ScoringConfig()
-
-
 def build_report(
     answers: AnswerSet | AnswerColumns,
     dataset: Dataset,
@@ -705,15 +693,13 @@ def build_report(
     fields and `columns` only; its header goes under the provenance's
     "answers". `dataset_hash` defaults to the scored dataset's digest."""
     languages = dataset.languages
-    scored, jobs = _accuracy_jobs(answers, dataset, scoring.include_timeliness)
+    scored, jobs = _accuracy_jobs(answers, dataset, scoring)
     jobs += _timeliness_jobs(answers, dataset)
 
     scores, semantic = _score_jobs(jobs, scoring.chrf, lambda: _xsc(languages, scored, embedder))
     split = len(languages)
     accuracy = _rank_result(languages, _accuracy_vectors(dataset, scores[:split]))
-    timeliness = _rank_result(
-        languages, _timeliness_vectors(dataset, scores[split:], scoring.xtc_mode, scoring.tau)
-    )
+    timeliness = _rank_result(languages, _timeliness_vectors(dataset, scores[split:], scoring))
     combined, degenerate = xc_detailed(semantic.score, accuracy.score, timeliness.score)
     breakdown = _domain_table(dataset, semantic.item_cosines)
 

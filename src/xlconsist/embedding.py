@@ -62,7 +62,8 @@ def _digest(normalized: str) -> str:
 
 class VectorCache:
     """Key -> float32 vector store of one size, in a file or, with no path,
-    in memory; many readers, one writer. The first write of a key wins."""
+    in memory; many readers, one writer. The first write of a key wins. A
+    file that cannot be read or written raises an XlconsistError naming it."""
 
     def __init__(self, path: str | Path | None = None):
         self.path = None if path is None else Path(path)
@@ -73,11 +74,15 @@ class VectorCache:
         self._size = 0  # rows of _matrix in use
         self._end = 0  # end of the last whole record; 0 while the file is absent or empty
         self._file = None  # opened by the first append
-        if self.path is not None and self.path.exists() and self.path.stat().st_size > 0:
-            self._load()
+        if self.path is not None:
+            try:
+                data = self.path.read_bytes() if self.path.exists() else b""
+            except OSError as exc:
+                raise XlconsistError(f"cannot read the vector cache {self.path}: {exc}") from exc
+            if data:
+                self._load(data)
 
-    def _load(self):
-        data = self.path.read_bytes()
+    def _load(self, data: bytes):
         if data.startswith(_V1_MAGIC):
             raise CacheFormatError(
                 f"{self.path} is an old-format (XLCVEC1) vector cache; "

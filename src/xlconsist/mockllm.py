@@ -5,9 +5,11 @@ user message from a question -> answer map (defaults to the bundled
 fixture answers). Unknown questions get a stable hash-derived reply so
 runs stay deterministic. It speaks HTTP/1.1 and keeps connections alive,
 as a real chat endpoint does, so a client reuses each connection it
-opens; `stop()` shuts those connections too. Each response goes out in
-one write: sent as headers and then body, the body would wait for the
-client's delayed ACK under Nagle's algorithm, about 40 ms a request.
+opens; `stop()` shuts those connections too and waits for their
+handlers, so `request_count` is final once it returns. Each response
+goes out in one write: sent as headers and then body, the body would
+wait for the client's delayed ACK under Nagle's algorithm, about 40 ms
+a request.
 
     python -m xlconsist.mockllm --port 8089
     python -m xlconsist.mockllm --answers my_answers.json
@@ -50,6 +52,7 @@ class MockLLMServer:
         self._open = set()  # kept-alive connections, shut down by stop()
         self._stopped = False
         self._server = ThreadingHTTPServer(("127.0.0.1", port), self._make_handler())
+        self._server.daemon_threads = False  # so that server_close joins the handlers
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
     @property

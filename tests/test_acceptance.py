@@ -17,12 +17,12 @@ from click.testing import CliRunner
 from xlconsist.answers import AnswerSet, ground_truth_answers
 from xlconsist.cli import cli
 from xlconsist.collection import CollectionConfig, collect_answers
-from xlconsist.consistency import FORMULA, PROSE, timeliness_score, xac, xc, xsc, xtc
+from xlconsist.consistency import FORMULA, ScoringConfig, timeliness_score, xac, xc, xsc, xtc
 from xlconsist.dataset import Dataset, QAItem, TimelinessItem
 from xlconsist.embedding import Embedder, EmbeddingProviderConfig
 from xlconsist.fixtures import bundled_fixture_path, mini_fixture, mini_fixture_answers
 from xlconsist.mockllm import MockLLMServer
-from xlconsist.textmetrics import ChrfConfig, chrf, cosine, spearman, spearman_detailed
+from xlconsist.textmetrics import chrf, cosine, spearman, spearman_detailed
 
 from conftest import DATA_DIR
 from multilingual_pairs import PAIRS
@@ -236,7 +236,7 @@ def _shift_alphabet(text: str) -> str:
 def test_xtc_mode_discrepancy():
     base = "abc def ghi jkl m"
     langs = ("A", "B")
-    cfg = ChrfConfig()
+    prose, formula = ScoringConfig(), ScoringConfig(xtc_mode=FORMULA)
     items = []
     answer_plan = {}
     for i, keep in enumerate((14, 9, 5)):
@@ -259,21 +259,17 @@ def test_xtc_mode_discrepancy():
         answers.set_answer(lang, item_id, text, text, "ok")
 
     for item in items:
-        a_score = timeliness_score(answers.answer("A", item.id), item.candidates["A"], cfg, PROSE)
-        b_score = timeliness_score(answers.answer("B", item.id), item.candidates["B"], cfg, PROSE)
+        a_score = timeliness_score(answers.answer("A", item.id), item.candidates["A"], prose)
+        b_score = timeliness_score(answers.answer("B", item.id), item.candidates["B"], prose)
         assert 0 < a_score < 1 or a_score == 1.0
         assert b_score == a_score / 2  # exactly: same chrF, rank 2 vs rank 1
 
-        a_formula = timeliness_score(
-            answers.answer("A", item.id), item.candidates["A"], cfg, FORMULA
-        )
-        b_formula = timeliness_score(
-            answers.answer("B", item.id), item.candidates["B"], cfg, FORMULA
-        )
+        a_formula = timeliness_score(answers.answer("A", item.id), item.candidates["A"], formula)
+        b_formula = timeliness_score(answers.answer("B", item.id), item.candidates["B"], formula)
         assert a_formula == b_formula  # the literal reading cannot tell them apart
 
-    assert xtc(answers, dataset, cfg, mode=PROSE).score == pytest.approx(1.0, abs=1e-12)
-    assert xtc(answers, dataset, cfg, mode=FORMULA).score == pytest.approx(1.0, abs=1e-12)
+    assert xtc(answers, dataset, prose).score == pytest.approx(1.0, abs=1e-12)
+    assert xtc(answers, dataset, formula).score == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +320,7 @@ def test_resume_idempotence(tmp_path):
             concurrency=3, backoff_base=0.01,
         )
         uninterrupted, _ = collect_answers(
-            dataset, dataset.languages, cfg, tmp_path / "full.jsonl", run_id="r"
+            dataset, cfg, tmp_path / "full.jsonl", run_id="r"
         )
 
         for stop_after in (1, 17, 55):
@@ -338,9 +334,9 @@ def test_resume_idempotence(tmp_path):
 
             with pytest.raises(_Interrupt):
                 collect_answers(
-                    dataset, dataset.languages, cfg, store, run_id="r", progress=interrupt
+                    dataset, cfg, store, run_id="r", progress=interrupt
                 )
-            resumed, _ = collect_answers(dataset, dataset.languages, cfg, store, run_id="r")
+            resumed, _ = collect_answers(dataset, cfg, store, run_id="r")
             assert resumed.answers == uninterrupted.answers
             assert resumed.statuses == uninterrupted.statuses
 

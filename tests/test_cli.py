@@ -327,6 +327,19 @@ def test_embed_into_a_cache_of_another_size_exits_one(runner, tmp_path):
     assert (tmp_path / "c.bin").read_bytes() == written
 
 
+@pytest.mark.parametrize("command", ["score", "embed"])
+def test_a_directory_given_as_the_cache_exits_one(runner, tmp_path, command):
+    cache = tmp_path / "c.bin"
+    cache.mkdir()
+    args = _embed_args(tmp_path, "--provider-kind", "mock") if command == "embed" else [
+        "score", "--dataset", str(bundled_fixture_path()), "--ground-truth",
+        "--out-dir", str(tmp_path / "out"), "--cache", str(cache), "--provider-kind", "mock",
+    ]
+    result = runner.invoke(cli, args)
+    _one_line_error(result, str(cache), "Is a directory")
+    assert not (tmp_path / "out").exists()
+
+
 def test_embed_from_an_unreachable_endpoint_exits_one(runner, tmp_path, monkeypatch):
     monkeypatch.setattr("xlconsist.embedding.time.sleep", lambda seconds: None)
     with socket.socket() as probe:  # a port that nothing listens on once closed

@@ -116,7 +116,7 @@ def test_backoff_keeps_its_slot_and_holds_up_no_other_cell(scripted_server, tmp_
     url, handler = scripted_server(fail={first: 2})
     store = tmp_path / "a.jsonl"
     collect_answers(
-        dataset, dataset.languages, make_cfg(url, backoff_base=0.2), store, run_id="t-run"
+        dataset, make_cfg(url, backoff_base=0.2), store, run_id="t-run"
     )
     records = store_records(store)
     assert len(records) == 20
@@ -138,7 +138,7 @@ def test_unanswered_request_times_out_and_holds_up_no_other_cell(scripted_server
     store = tmp_path / "a.jsonl"
     cfg = make_cfg(url, timeout=0.3, max_attempts=2)
     start = time.monotonic()
-    answers, manifest = collect_answers(dataset, dataset.languages, cfg, store, run_id="t-run")
+    answers, manifest = collect_answers(dataset, cfg, store, run_id="t-run")
     elapsed = time.monotonic() - start
     key = (dataset.languages[0], dataset.qa_items[0].id)
     assert answers.statuses[key] == STATUS_FAILED
@@ -167,7 +167,7 @@ def test_collect_starts_no_thread(tmp_path):
             )
 
         answers, _ = collect_answers(
-            dataset, dataset.languages, make_cfg(server.url, concurrency=4), tmp_path / "a.jsonl",
+            dataset, make_cfg(server.url, concurrency=4), tmp_path / "a.jsonl",
             run_id="t-run", progress=progress,
         )
     assert len(answers.answers) == 84
@@ -180,7 +180,7 @@ def test_rate_limit_paces_the_loop(tmp_path):
         cfg = make_cfg(server.url, rate_limit_rps=50.0)
         start = time.monotonic()
         answers, _ = collect_answers(
-            dataset, dataset.languages, cfg, tmp_path / "a.jsonl", run_id="t-run"
+            dataset, cfg, tmp_path / "a.jsonl", run_id="t-run"
         )
         elapsed = time.monotonic() - start
     assert set(answers.statuses.values()) == {STATUS_OK}
@@ -198,7 +198,7 @@ def test_stats_count_what_the_server_received(scripted_server, tmp_path):
         url, handler = scripted_server(fail={q: 1 for q in retried}, close_after=1)
         store = tmp_path / run / "a.jsonl"
         store.parent.mkdir()
-        collect_answers(dataset, dataset.languages, make_cfg(url), store, run_id="t-run")
+        collect_answers(dataset, make_cfg(url), store, run_id="t-run")
         runs.append((read_stats(store), handler, store))
 
     (stats, handler, store), (other, _, _) = runs
@@ -229,7 +229,7 @@ def test_failed_cell_records_the_attempts_it_used(scripted_server, tmp_path, cap
     questions = [item.questions[lang] for item in dataset.qa_items for lang in dataset.languages]
     url, handler = scripted_server(fail={q: 1 for q in questions}, fail_status=400)
     store = tmp_path / "a.jsonl"
-    answers, manifest = collect_answers(dataset, dataset.languages, make_cfg(url), store,
+    answers, manifest = collect_answers(dataset, make_cfg(url), store,
                                         run_id="t-run")
     assert handler.statuses == [400] * 20
     assert set(answers.statuses.values()) == {STATUS_FAILED}
@@ -262,7 +262,7 @@ def test_returned_answer_set_is_the_loaded_store(scripted_server, tmp_path):
             raise StopAfter()
 
     with pytest.raises(StopAfter):
-        collect_answers(dataset, dataset.languages, make_cfg(url), store, run_id="t-run",
+        collect_answers(dataset, make_cfg(url), store, run_id="t-run",
                         progress=interrupt)
     statuses = {}
     for name, path, retry_failed in (
@@ -270,7 +270,7 @@ def test_returned_answer_set_is_the_loaded_store(scripted_server, tmp_path):
         ("fresh", tmp_path / "fresh.jsonl", False),
         ("retry failed", store, True),
     ):
-        answers, manifest = collect_answers(dataset, dataset.languages, make_cfg(url), path,
+        answers, manifest = collect_answers(dataset, make_cfg(url), path,
                                             run_id="t-run", retry_failed=retry_failed)
         loaded = load_answers(path)
         assert answers == loaded, name

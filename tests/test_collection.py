@@ -1,7 +1,9 @@
+import errno
 import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from xlconsist.collection import (
     QuestionTemplates,
     RunManifest,
     TokenBucket,
+    _CollectStats,
     build_messages,
     collect_answers,
     postprocess_answer,
@@ -180,7 +183,7 @@ def collect_fixture(store, url, **kwargs):
     dataset = mini_fixture()
     cfg = make_cfg(url, **kwargs)
     return collect_answers(
-        dataset, dataset.languages, cfg, store, run_id="t-run",
+        dataset, cfg, store, run_id="t-run",
         dataset_digest="digest", **{k: v for k, v in {}.items()}
     )
 
@@ -210,7 +213,7 @@ def test_manifest_reconstructs_prompts(tmp_path, flaky_server):
     url, handler = flaky_server
     handler.fail_times = 0
     dataset = mini_fixture()
-    collect_answers(dataset, dataset.languages, make_cfg(url), tmp_path / "a.jsonl", run_id="t-run")
+    collect_answers(dataset, make_cfg(url), tmp_path / "a.jsonl", run_id="t-run")
     loaded = RunManifest.load(str(tmp_path / "a.jsonl") + ".manifest.json")
     rebuilt = [loaded.rebuild_messages(dataset, *key.split("/")) for key in loaded.statuses]
 
@@ -276,7 +279,7 @@ def test_retry_then_success_logs_attempts(tmp_path):
     try:
         url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
         cfg = make_cfg(url, shots=0, max_attempts=3)
-        answers, _ = collect_answers(d, d.languages, cfg, tmp_path / "a.jsonl", run_id="t-run")
+        answers, _ = collect_answers(d, cfg, tmp_path / "a.jsonl", run_id="t-run")
         assert all(status == STATUS_OK for status in answers.statuses.values())
         records = [
             json.loads(line)
@@ -294,7 +297,7 @@ def test_manifest_records_attempts(tmp_path, flaky_server):
     d = mini_fixture().subset(["en", "de"])
     d = type(d)(languages=d.languages, qa_items=d.qa_items[:1], few_shot_pool=d.few_shot_pool)
     cfg = make_cfg(url, shots=0, max_attempts=3)
-    _, manifest = collect_answers(d, d.languages, cfg, tmp_path / "a.jsonl", run_id="t-run")
+    _, manifest = collect_answers(d, cfg, tmp_path / "a.jsonl", run_id="t-run")
     expected = {"status": STATUS_OK, "attempts": 3}
     assert manifest.statuses == {"en/geo-01": expected, "de/geo-01": expected}
     loaded = RunManifest.load(str(tmp_path / "a.jsonl") + ".manifest.json")
@@ -307,7 +310,7 @@ def test_always_failing_server_yields_failed_cells(tmp_path, flaky_server):
     d = mini_fixture().subset(["en", "de"])
     d = type(d)(languages=d.languages, qa_items=d.qa_items[:2], few_shot_pool=d.few_shot_pool)
     cfg = make_cfg(url, shots=0, max_attempts=2)
-    answers, manifest = collect_answers(d, d.languages, cfg, tmp_path / "a.jsonl", run_id="t-run")
+    answers, manifest = collect_answers(d, cfg, tmp_path / "a.jsonl", run_id="t-run")
     assert len(answers.answers) == 4
     assert all(status == STATUS_FAILED for status in answers.statuses.values())
     assert all(text == "" for text in answers.answers.values())
@@ -320,7 +323,7 @@ def test_auth_failure_aborts(tmp_path, flaky_server):
     d = mini_fixture().subset(["en", "de"])
     cfg = make_cfg(url, shots=0)
     with pytest.raises(AuthenticationError):
-        collect_answers(d, d.languages, cfg, tmp_path / "a.jsonl", run_id="t-run")
+        collect_answers(d, cfg, tmp_path / "a.jsonl", run_id="t-run")
 
 
 class StopAfter(Exception):
@@ -335,7 +338,7 @@ def test_resume_idempotence(tmp_path):
     with MockLLMServer(canned) as server:
         cfg = make_cfg(server.url, concurrency=2)
         uninterrupted, _ = collect_answers(
-            dataset, dataset.languages, cfg, tmp_path / "full.jsonl", run_id="t-run"
+            dataset, cfg, tmp_path / "full.jsonl", run_id="t-run"
         )
 
         seen = {"count": 0}
@@ -347,7 +350,7 @@ def test_resume_idempotence(tmp_path):
 
         with pytest.raises(StopAfter):
             collect_answers(
-                dataset, dataset.languages, cfg, tmp_path / "resumed.jsonl",
+                dataset, cfg, tmp_path / "resumed.jsonl",
                 run_id="t-run", progress=interrupt,
             )
         partial = load_answers(tmp_path / "resumed.jsonl")
@@ -355,7 +358,7 @@ def test_resume_idempotence(tmp_path):
 
         before_resume = server.request_count
         resumed, _ = collect_answers(
-            dataset, dataset.languages, cfg, tmp_path / "resumed.jsonl", run_id="t-run"
+            dataset, cfg, tmp_path / "resumed.jsonl", run_id="t-run"
         )
         filled = server.request_count - before_resume
         assert filled < 84  # only missing cells were fetched
@@ -387,7 +390,7 @@ def test_progress_abort_stops_every_request_loop(tmp_path):
         before = set(threading.enumerate())
         with pytest.raises(StopAfter):
             collect_answers(
-                dataset, dataset.languages, cfg, store, run_id="t-run", progress=stop_at_k
+                dataset, cfg, store, run_id="t-run", progress=stop_at_k
             )
         # the mock's own per-connection threads end when the client closes them
         left = [
@@ -401,7 +404,7 @@ def test_progress_abort_stops_every_request_loop(tmp_path):
         assert k <= len(stored.answers) <= k + concurrency
 
         fetched = server.request_count
-        answers, _ = collect_answers(dataset, dataset.languages, cfg, store, run_id="t-run")
+        answers, _ = collect_answers(dataset, cfg, store, run_id="t-run")
         assert server.request_count - fetched == 84 - len(stored.answers)
     assert len(answers.answers) == 84
     assert all(status == STATUS_OK for status in answers.statuses.values())
@@ -415,7 +418,7 @@ def test_resume_after_a_torn_final_line_loses_no_cell(tmp_path):
     with MockLLMServer(mini_fixture_answers()) as server:
         cfg = make_cfg(server.url)
         uninterrupted, _ = collect_answers(
-            dataset, dataset.languages, cfg, tmp_path / "full.jsonl", run_id="t-run"
+            dataset, cfg, tmp_path / "full.jsonl", run_id="t-run"
         )
         head, *records = (tmp_path / "full.jsonl").read_bytes().split(b"\n")[:-1]
         # the store loses its final record and ends in a record with Chinese
@@ -428,7 +431,7 @@ def test_resume_after_a_torn_final_line_loses_no_cell(tmp_path):
         store = tmp_path / "a.jsonl"
         for tail in tails:
             store.write_bytes(kept + tail)
-            resumed, _ = collect_answers(dataset, dataset.languages, cfg, store, run_id="t-run")
+            resumed, _ = collect_answers(dataset, cfg, store, run_id="t-run")
             loaded = load_answers(store)
             assert (loaded.answers, loaded.raw, loaded.statuses) == (
                 uninterrupted.answers, uninterrupted.raw, uninterrupted.statuses
@@ -449,21 +452,51 @@ def test_resume_against_another_endpoint_fills_only_the_missing_cells(tmp_path):
         if len(seen) == 10:
             raise StopAfter()
 
-    with MockLLMServer(mini_fixture_answers()) as first, \
-            MockLLMServer(mini_fixture_answers()) as second:
-        assert first.url != second.url
-        with pytest.raises(StopAfter):
-            collect_answers(dataset, dataset.languages, make_cfg(first.url), store,
-                            run_id="t-run", progress=interrupt)
+    with MockLLMServer(mini_fixture_answers()) as second:
+        with MockLLMServer(mini_fixture_answers()) as first:
+            assert first.url != second.url
+            with pytest.raises(StopAfter):
+                collect_answers(dataset, make_cfg(first.url), store,
+                                run_id="t-run", progress=interrupt)
+        # stopped, `first` has joined its handler threads: the requests the
+        # aborted run left in flight are counted before `sent` is read
         stored = len(load_answers(store).answers)
         sent = first.request_count
-        answers, _ = collect_answers(dataset, dataset.languages, make_cfg(second.url), store,
+        answers, _ = collect_answers(dataset, make_cfg(second.url), store,
                                      run_id="t-run")
         assert first.request_count == sent
         assert second.request_count == 84 - stored
     assert len(answers.answers) == 84
     assert set(answers.statuses.values()) == {STATUS_OK}
     assert answers.extra == {"endpoint": first.url, "shots": 2}
+
+
+def test_a_sidecar_write_cut_short_leaves_the_previous_file(tmp_path, monkeypatch):
+    dataset = mini_fixture()
+    store = tmp_path / "a.jsonl"
+    with MockLLMServer(mini_fixture_answers()) as server:
+        collect_answers(dataset, make_cfg(server.url), store, run_id="t-run")
+    manifest_path, stats_path = Path(f"{store}.manifest.json"), Path(f"{store}.stats.json")
+    before = {path: path.read_bytes() for path in (manifest_path, stats_path)}
+    write_text = Path.write_text
+
+    def disk_full_halfway(self, text, *args, **kwargs):
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", disk_full_halfway)
+    manifest = RunManifest.load(manifest_path)
+    with pytest.raises(OSError):
+        manifest.save(manifest_path)
+    with pytest.raises(OSError):
+        _CollectStats(cells_sent=1).save(stats_path)
+    monkeypatch.undo()
+    assert {path: path.read_bytes() for path in before} == before
+    assert RunManifest.load(manifest_path).statuses == manifest.statuses
+    assert json.loads(stats_path.read_text(encoding="utf-8"))["cells_sent"] == 84
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "a.jsonl", "a.jsonl.manifest.json", "a.jsonl.stats.json"
+    ]
 
 
 def test_p2_reads_the_bundled_templates_once_per_run(tmp_path, monkeypatch):
@@ -479,7 +512,7 @@ def test_p2_reads_the_bundled_templates_once_per_run(tmp_path, monkeypatch):
     dataset = Dataset(full.languages, full.qa_items, (), full.few_shot_pool)
     with MockLLMServer(mini_fixture_answers()) as server:
         answers, _ = collect_answers(
-            dataset, dataset.languages, make_cfg(server.url, prompt_variant="p2"),
+            dataset, make_cfg(server.url, prompt_variant="p2"),
             tmp_path / "a.jsonl",
         )
     assert len(answers.answers) == len(dataset.qa_items) * 3 == server.request_count
@@ -502,7 +535,7 @@ def test_a_cell_without_a_question_stops_the_run_before_any_write(
     with MockLLMServer(mini_fixture_answers()) as server:
         with pytest.raises(error, match=shown):
             collect_answers(
-                dataset, dataset.languages, make_cfg(server.url, prompt_variant=variant), store,
+                dataset, make_cfg(server.url, prompt_variant=variant), store,
                 paraphrases=paraphrases,
             )
         assert server.request_count == 0
@@ -515,7 +548,7 @@ def test_resume_refuses_mismatched_run(tmp_path):
         dataset = mini_fixture()
         cfg = make_cfg(server.url, exemplar_seed=99)
         with pytest.raises(XlconsistError, match="refusing to mix"):
-            collect_answers(dataset, dataset.languages, cfg, tmp_path / "a.jsonl", run_id="t-run")
+            collect_answers(dataset, cfg, tmp_path / "a.jsonl", run_id="t-run")
 
 
 def test_resume_refuses_other_model(tmp_path):
@@ -524,7 +557,7 @@ def test_resume_refuses_other_model(tmp_path):
         dataset = mini_fixture()
         cfg = make_cfg(server.url, model="other-model")
         with pytest.raises(XlconsistError, match="'canned'.*'other-model'"):
-            collect_answers(dataset, dataset.languages, cfg, tmp_path / "a.jsonl", run_id="t-run")
+            collect_answers(dataset, cfg, tmp_path / "a.jsonl", run_id="t-run")
 
 
 def test_resume_refuses_other_dataset(tmp_path):
@@ -534,12 +567,12 @@ def test_resume_refuses_other_dataset(tmp_path):
         cfg = make_cfg(server.url)
         with pytest.raises(XlconsistError, match="digest, not other-digest"):
             collect_answers(
-                dataset, dataset.languages, cfg, tmp_path / "a.jsonl",
+                dataset, cfg, tmp_path / "a.jsonl",
                 run_id="t-run", dataset_digest="other-digest",
             )
         # no digest on one side: nothing to compare, the resume goes ahead
         before = server.request_count
-        collect_answers(dataset, dataset.languages, cfg, tmp_path / "a.jsonl", run_id="t-run")
+        collect_answers(dataset, cfg, tmp_path / "a.jsonl", run_id="t-run")
         assert server.request_count == before
 
 
@@ -552,7 +585,7 @@ def test_resume_refuses_other_shots(tmp_path):
         dataset = mini_fixture()
         cfg = make_cfg(server.url, shots=3)
         with pytest.raises(XlconsistError, match="2 shots, not 3"):
-            collect_answers(dataset, dataset.languages, cfg, tmp_path / "a.jsonl", run_id="t-run")
+            collect_answers(dataset, cfg, tmp_path / "a.jsonl", run_id="t-run")
 
 
 def test_resume_keeps_started_at(tmp_path):

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import inspect
 import math
 import os
 import subprocess
@@ -19,14 +20,17 @@ from xlconsist.answers import (
     write_answer_header,
 )
 from xlconsist.consistency import (
+    DEFAULT_SCORING,
     FORMULA,
     ConsistencyReport,
     PairMatrix,
     ScoringConfig,
+    accuracy_vectors,
     build_report,
     correlate_matrices,
     domain_breakdown,
     timeliness_score,
+    timeliness_vectors,
     xac,
     xc,
     xc_detailed,
@@ -306,12 +310,9 @@ def test_timeliness_no_overlap():
 
 
 def test_timeliness_formula_mode():
-    assert timeliness_score("charlie delta", CANDS, mode=FORMULA) == pytest.approx(
-        1.0 / 3.0, abs=1e-12
-    )
-    assert timeliness_score("alpha bravo", CANDS, mode=FORMULA) == pytest.approx(
-        1.0 / 3.0, abs=1e-12
-    )
+    formula = ScoringConfig(xtc_mode=FORMULA)
+    assert timeliness_score("charlie delta", CANDS, formula) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert timeliness_score("alpha bravo", CANDS, formula) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_timeliness_tie_goes_to_newest():
@@ -321,12 +322,38 @@ def test_timeliness_tie_goes_to_newest():
 def test_timeliness_tau_floor():
     weak = timeliness_score("alpha zulu", CANDS)
     assert 0 < weak < 1
-    assert timeliness_score("alpha zulu", CANDS, tau=0.99) == 0.0
+    assert timeliness_score("alpha zulu", CANDS, ScoringConfig(tau=0.99)) == 0.0
 
 
 def test_timeliness_empty_candidates_rejected():
     with pytest.raises(ValueError):
         timeliness_score("x", ())
+
+
+@pytest.mark.parametrize("settings, shown", [
+    ({"tau": math.nan}, "tau must be within [0, 1], got nan"),
+    ({"tau": 5.0}, "tau must be within [0, 1], got 5.0"),
+    ({"tau": -0.1}, "tau must be within [0, 1], got -0.1"),
+    ({"xtc_mode": "Prose"}, "xtc_mode must be 'prose' or 'formula', got 'Prose'"),
+], ids=["tau-nan", "tau-above-one", "tau-negative", "mode-capitalised"])
+def test_scoring_config_refuses_a_bad_setting(settings, shown):
+    with pytest.raises(ValueError) as refused:
+        ScoringConfig(**settings)
+    assert str(refused.value) == shown
+    # as a loose keyword the setting went unchecked: tau=nan scored 0.5 here
+    loose = {"mode" if key == "xtc_mode" else key: value for key, value in settings.items()}
+    with pytest.raises(TypeError):
+        timeliness_score("charlie delta", CANDS, **loose)
+
+
+@pytest.mark.parametrize("metric", [
+    xsc, xac, xtc, accuracy_vectors, timeliness_vectors, timeliness_score,
+], ids=lambda metric: metric.__name__)
+def test_metric_functions_take_their_settings_only_as_one_scoring_value(metric):
+    parameters = inspect.signature(metric).parameters
+    assert list(parameters)[-1] == "scoring"
+    assert parameters["scoring"].default is DEFAULT_SCORING
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters.values())
 
 
 def test_timeliness_nonincreasing_in_rank():
@@ -706,7 +733,7 @@ def synthetic_run(languages=("en", "de", "zh", "ja")):
 def test_xsc_embeds_each_distinct_answer_once():
     dataset, answers = synthetic_run()
     embedder = SpyEmbedder()
-    result = xsc(answers, dataset, embedder, include_timeliness=True)
+    result = xsc(answers, dataset, embedder, ScoringConfig(include_timeliness=True))
     assert len(embedder.calls) == 1
     (texts,) = embedder.calls
     assert sorted(texts) == sorted(set(answers.answers.values()))
@@ -1015,9 +1042,9 @@ def test_build_report_calls_xsc_once_and_matches_the_public_metrics(
     scoring = ScoringConfig(xtc_mode=FORMULA, tau=0.3, include_timeliness=include_timeliness)
     report = build_report(answers, dataset, embedder, scoring)
     assert calls == [dataset.n_qa + (len(dataset.timeliness_items) if include_timeliness else 0)]
-    semantic = xsc(answers, dataset, embedder, include_timeliness=include_timeliness)
-    accuracy = xac(answers, dataset, include_timeliness=include_timeliness)
-    timeliness = xtc(answers, dataset, mode=FORMULA, tau=0.3)
+    semantic = xsc(answers, dataset, embedder, scoring)
+    accuracy = xac(answers, dataset, scoring)
+    timeliness = xtc(answers, dataset, scoring)
     assert (report.xsc, report.xac, report.xtc) == (
         semantic.score, accuracy.score, timeliness.score
     )

@@ -73,7 +73,7 @@ def chat(url, tmp_path, caplog):
         endpoint=url, model="m", shots=0, concurrency=1, max_attempts=3, backoff_base=0.01,
         timeout=10.0,
     )
-    answers, _ = collect_answers(d, d.languages, cfg, tmp_path / "a.jsonl", run_id="t-run")
+    answers, _ = collect_answers(d, cfg, tmp_path / "a.jsonl", run_id="t-run")
     ((key, status),) = answers.statuses.items()
     if status == STATUS_FAILED:
         (record,) = [r for r in caplog.records if r.levelno == logging.WARNING]

@@ -120,7 +120,7 @@ def test_keep_alive_reuses_one_connection(clean_env, recording_server, tmp_path)
     dataset = mini_fixture()
     cfg = make_cfg(f"http://127.0.0.1:{port}/v1/chat/completions", concurrency=1)
     answers, _ = collect_answers(
-        dataset, dataset.languages, cfg, tmp_path / "a.jsonl", run_id="t-run"
+        dataset, cfg, tmp_path / "a.jsonl", run_id="t-run"
     )
     question = dataset.qa_items[0].questions["en"]
     assert answers.answer("en", dataset.qa_items[0].id) == f"re: {question}"
@@ -189,7 +189,7 @@ def test_server_closing_idle_connection_costs_no_attempt(clean_env, recording_se
     dataset = mini_fixture()
     cfg = make_cfg(f"http://127.0.0.1:{port}/v1/chat/completions")
     answers, manifest = collect_answers(
-        dataset, dataset.languages, cfg, tmp_path / "a.jsonl", run_id="t-run"
+        dataset, cfg, tmp_path / "a.jsonl", run_id="t-run"
     )
     records = [json.loads(line) for line in (tmp_path / "a.jsonl").read_text().splitlines()[1:]]
     assert len(records) == len(answers.answers) == 84
@@ -205,7 +205,7 @@ def test_http_proxy_and_no_proxy(clean_env, tmp_path):
     with MockLLMServer(mini_fixture_answers()) as proxy:
         clean_env.setenv("HTTP_PROXY", proxy.url.split("/v1/")[0])
         answers, _ = collect_answers(
-            dataset, dataset.languages, cfg, tmp_path / "proxied.jsonl", run_id="t-run"
+            dataset, cfg, tmp_path / "proxied.jsonl", run_id="t-run"
         )
         assert proxy.request_count == 84
         assert all(status == STATUS_OK for status in answers.statuses.values())
@@ -213,7 +213,7 @@ def test_http_proxy_and_no_proxy(clean_env, tmp_path):
 
         clean_env.setenv("NO_PROXY", UNRESOLVABLE)
         answers, _ = collect_answers(
-            dataset, dataset.languages, cfg, tmp_path / "direct.jsonl", run_id="t-run"
+            dataset, cfg, tmp_path / "direct.jsonl", run_id="t-run"
         )
         assert proxy.request_count == 84
         assert all(status == STATUS_FAILED for status in answers.statuses.values())
@@ -265,7 +265,7 @@ def test_no_pool_full_warning_at_concurrency_16(clean_env, tmp_path, caplog):
     with MockLLMServer(mini_fixture_answers(), latency=0.02) as server:
         cfg = make_cfg(server.url, concurrency=16)
         answers, _ = collect_answers(
-            dataset, dataset.languages, cfg, tmp_path / "a.jsonl", run_id="t-run"
+            dataset, cfg, tmp_path / "a.jsonl", run_id="t-run"
         )
         assert server.request_count == 84
     assert all(status == STATUS_OK for status in answers.statuses.values())
