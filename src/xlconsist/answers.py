@@ -1,4 +1,9 @@
-"""Model answers keyed by (language, item), with a resumable JSONL store.
+"""Model answers by (language, item), with a resumable JSONL store.
+
+`AnswerSet` is the one form of a model's answers: the store's header and
+one column of answers per language. `load_answers` builds it from a
+store; `store_records` gives the header and each cell's last record,
+status and attempts included, for a collection run to resume from.
 
 Store layout: a header line with run metadata, then one record per
 completed cell. Records are append-only; on replay the last record for a
@@ -17,14 +22,14 @@ import json
 import mmap
 import unicodedata
 from dataclasses import dataclass, field
-from itertools import repeat, starmap
+from itertools import starmap
 from pathlib import Path
 
 from .dataset import Dataset, decode_utf8
 from .errors import DatasetFormatError, MissingAnswersError
 
 ANSWERS_SCHEMA = "xlconsist-answers/1"
-# the header fields that an AnswerSet and AnswerColumns carry
+# the header fields that an AnswerSet carries
 HEADER_FIELDS = ("run_id", "model_id", "prompt_variant", "seed", "dataset_hash")
 
 STATUS_OK = "ok"
@@ -35,77 +40,66 @@ _decode = json.JSONDecoder().raw_decode
 
 @dataclass
 class AnswerSet:
+    """A model's answers by (language, item): the store header's fields and
+    one column per language over `item_ids`, in the order each was first
+    set, None where the set has no answer. Every column is
+    `len(item_ids)` long; `set_answer` keeps it so."""
+
     run_id: str
     model_id: str
     prompt_variant: str = "p1"
     seed: int = 0
     dataset_hash: str | None = None
-    answers: dict[tuple[str, str], str] = field(default_factory=dict)
-    raw: dict[tuple[str, str], str] = field(default_factory=dict)
-    statuses: dict[tuple[str, str], str] = field(default_factory=dict)
-    attempts: dict[tuple[str, str], int] = field(default_factory=dict)  # from the store only
     extra: dict = field(default_factory=dict)  # other header fields, such as endpoint and shots
+    item_ids: list[str] = field(default_factory=list)
+    by_language: dict[str, list[str | None]] = field(default_factory=dict)
 
-    def set_answer(self, lang: str, item_id: str, raw: str, text: str, status: str) -> None:
-        key = (lang, item_id)
-        self.answers[key] = unicodedata.normalize("NFC", text)
-        self.raw[key] = raw
-        self.statuses[key] = status
+    def __post_init__(self):
+        self._position = dict(zip(self.item_ids, range(len(self.item_ids))))
+
+    def set_answer(self, lang: str, item_id: str, text: str) -> None:
+        """Store `text`, NFC-normalised, as the answer of (lang, item_id);
+        a later call for the same cell replaces it."""
+        at = self._position.get(item_id)
+        if at is None:
+            at = self._position[item_id] = len(self.item_ids)
+            self.item_ids.append(item_id)
+            for column in self.by_language.values():
+                column.append(None)
+        column = self.by_language.get(lang)
+        if column is None:
+            column = self.by_language[lang] = [None] * len(self.item_ids)
+        column[at] = unicodedata.normalize("NFC", text)
 
     def answer(self, lang: str, item_id: str) -> str:
-        return self.answers[(lang, item_id)]
+        """The answer of (lang, item_id); KeyError when the set has none."""
+        column, at = self.by_language.get(lang), self._position.get(item_id)
+        if column is None or at is None or column[at] is None:
+            raise KeyError((lang, item_id))
+        return column[at]
 
     def columns(self, languages, item_ids) -> list[list[str]]:
-        """Each language's answers to item_ids, in order, one lookup per cell.
-        A missing cell raises MissingAnswersError naming every missing cell,
-        language by language."""
-        lookup = self.answers.get
-        columns = [list(map(lookup, zip(repeat(lang), item_ids))) for lang in languages]
-        return _complete(languages, item_ids, columns)
-
-
-def _complete(languages, item_ids, columns):
-    """`columns`, or MissingAnswersError naming each None cell, language by language."""
-    if any(None in column for column in columns):
-        raise MissingAnswersError(
-            [
-                (lang, item_id)
-                for lang, column in zip(languages, columns)
-                for item_id, text in zip(item_ids, column)
-                if text is None
-            ]
-        )
-    return columns
-
-
-@dataclass
-class AnswerColumns:
-    """What scoring reads of an answers store: its header fields and each
-    language's answers to the items read, None where the store has no
-    answer. Scoring reads it as it reads an AnswerSet, through those
-    fields and `columns`."""
-
-    run_id: str
-    model_id: str
-    prompt_variant: str
-    seed: int
-    dataset_hash: str | None
-    item_ids: list[str]
-    by_language: dict[str, list[str | None]]
-
-    def columns(self, languages, item_ids) -> list[list[str]]:
-        """As AnswerSet.columns: a language or item that was not read has
-        no answers."""
+        """Each language's answers to item_ids, in order, one lookup per
+        cell. A missing cell raises MissingAnswersError naming every missing
+        cell, language by language."""
         end = len(self.item_ids)
-        position = dict(zip(self.item_ids, range(end)))
-        # an item that was not read points at the None past a column's end
-        at = [position.get(item_id, end) for item_id in item_ids]
+        # an item the set lacks points at the None past a column's end
+        at = [self._position.get(item_id, end) for item_id in item_ids]
         lacking = [None] * end
         columns = [
             list(map([*self.by_language.get(lang, lacking), None].__getitem__, at))
             for lang in languages
         ]
-        return _complete(languages, item_ids, columns)
+        if any(None in column for column in columns):
+            raise MissingAnswersError(
+                [
+                    (lang, item_id)
+                    for lang, column in zip(languages, columns)
+                    for item_id, text in zip(item_ids, column)
+                    if text is None
+                ]
+            )
+        return columns
 
 
 def ground_truth_answers(dataset: Dataset, run_id: str = "ground-truth") -> AnswerSet:
@@ -116,12 +110,10 @@ def ground_truth_answers(dataset: Dataset, run_id: str = "ground-truth") -> Answ
     answer_set = AnswerSet(run_id=run_id, model_id="ground-truth")
     for item in dataset.qa_items:
         for lang in dataset.languages:
-            text = item.answers[lang]
-            answer_set.set_answer(lang, item.id, text, text, STATUS_OK)
+            answer_set.set_answer(lang, item.id, item.answers[lang])
     for item in dataset.timeliness_items:
         for lang in dataset.languages:
-            text = item.candidates[lang][0]
-            answer_set.set_answer(lang, item.id, text, text, STATUS_OK)
+            answer_set.set_answer(lang, item.id, item.candidates[lang][0])
     return answer_set
 
 
@@ -167,15 +159,22 @@ def open_for_append(path: str | Path):
 
 
 def load_answers(path: str | Path) -> AnswerSet:
-    """Replay a store: the header, then every record, the last per cell
-    winning. `_records` reads and checks them, as for `store_columns`."""
+    """The AnswerSet of the store at `path`: its header, then every record
+    placed by `set_answer`, the last per cell winning, in one walk over the
+    records that `_records` reads and checks."""
     answer_set, records = _records(path)
-    for key, answer, record in records:
-        raw, status = record.get("raw", answer), record.get("status", STATUS_OK)
-        answer_set.set_answer(*key, raw, answer, status)
-        if "attempts" in record:
-            answer_set.attempts[key] = record["attempts"]
+    place = answer_set.set_answer
+    for (lang, item_id), answer, _ in records:
+        place(lang, item_id, answer)
     return answer_set
+
+
+def store_records(path: str | Path) -> tuple[AnswerSet, dict[tuple[str, str], dict]]:
+    """The header of the store at `path`, as an AnswerSet with no cells,
+    and the last record of each (lang, item) cell, in the order each cell
+    was first stored; read and checked by `_records`."""
+    header, records = _records(path)
+    return header, {key: record for key, _, record in records}
 
 
 def _records(path: str | Path):
@@ -311,21 +310,3 @@ def _odd_line(line: str, line_no: int, last: bool) -> dict | None:
     if not isinstance(record, dict):
         raise DatasetFormatError("answer record is not a JSON object", line=line_no)
     return record
-
-
-def store_columns(path: str | Path) -> AnswerColumns:
-    """The AnswerColumns of every language and item of the store at `path`,
-    in the order each is first stored: one walk over the records that
-    `load_answers` reads, with its checks, the last record per cell winning."""
-    answer_set, records = _records(path)
-    position, by_language = {}, {}
-    for (lang, item_id), answer, _ in records:
-        at = position.setdefault(item_id, len(position))
-        column = by_language.setdefault(lang, [])
-        if at >= len(column):
-            column += [None] * (at + 1 - len(column))
-        column[at] = unicodedata.normalize("NFC", answer)
-    for column in by_language.values():
-        column += [None] * (len(position) - len(column))
-    header = {key: getattr(answer_set, key) for key in HEADER_FIELDS}
-    return AnswerColumns(**header, item_ids=list(position), by_language=by_language)

@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .answers import ground_truth_answers, load_answers, store_columns
+from .answers import ground_truth_answers, load_answers
 from .collection import (
     VARIANTS,
     CollectionConfig,
@@ -90,6 +90,24 @@ def _switch(flag_value, config, *keys, default: bool) -> bool:
     return value
 
 
+def _number(flag_value, config, *keys, default, kind=int):
+    """A numeric setting read as `_pick` reads it, as `kind` (int or float),
+    or None when it is unset with no default. Exit 2, naming the key, for a
+    boolean, a value `kind` cannot read, or an integer setting that is not
+    integral (2.7 is not read as 2)."""
+    value = _pick(flag_value, config, *keys, default=default)
+    if value is None:
+        return None
+    try:
+        number = kind(value)
+        if isinstance(value, bool) or (isinstance(value, float) and kind is int and number != value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise click.UsageError(f"{'.'.join(keys)} must be {what}, got {value!r}") from None
+    return number
+
+
 def _require_file(path, what: str) -> str:
     """Config-supplied paths get the same exit-2 treatment as flag paths."""
     if path is None or not Path(path).is_file():
@@ -117,11 +135,7 @@ def _load_dataset(path, subset):
 
 def _seed(flag_value, config) -> int:
     """--seed, else the config's `seed:`, else 0; exit 2 when not an integer."""
-    seed = _pick(flag_value, config, "seed", default=0)
-    try:
-        return int(seed)
-    except (TypeError, ValueError):
-        raise click.UsageError(f"seed must be an integer, got {seed!r}")
+    return _number(flag_value, config, "seed", default=0)
 
 
 def _provider_config(config, kind, endpoint, dims, batch_size, seed) -> EmbeddingProviderConfig:
@@ -129,8 +143,8 @@ def _provider_config(config, kind, endpoint, dims, batch_size, seed) -> Embeddin
         return EmbeddingProviderConfig(
             kind=_pick(kind, config, "provider", "kind", default="mock"),
             endpoint=_pick(endpoint, config, "provider", "endpoint"),
-            expected_dims=int(_pick(dims, config, "provider", "expected_dims", default=32)),
-            batch_size=int(_pick(batch_size, config, "provider", "batch_size", default=64)),
+            expected_dims=_number(dims, config, "provider", "expected_dims", default=32),
+            batch_size=_number(batch_size, config, "provider", "batch_size", default=64),
             mock_seed=seed,
         )
     except (TypeError, ValueError) as exc:
@@ -141,13 +155,13 @@ def _scoring_config(config, xtc_mode, tau, include_timeliness) -> ScoringConfig:
     try:
         return ScoringConfig(
             chrf=ChrfConfig(
-                char_ngram_max=int(_pick(None, config, "chrf", "char_ngram_max", default=6)),
-                word_ngram_max=int(_pick(None, config, "chrf", "word_ngram_max", default=2)),
-                beta=float(_pick(None, config, "chrf", "beta", default=2.0)),
+                char_ngram_max=_number(None, config, "chrf", "char_ngram_max", default=6),
+                word_ngram_max=_number(None, config, "chrf", "word_ngram_max", default=2),
+                beta=_number(None, config, "chrf", "beta", default=2.0, kind=float),
                 case_fold=_switch(None, config, "chrf", "case_fold", default=False),
             ),
             xtc_mode=_pick(xtc_mode, config, "modes", "xtc_mode", default=PROSE),
-            tau=float(_pick(tau, config, "modes", "tau", default=0.0)),
+            tau=_number(tau, config, "modes", "tau", default=0.0, kind=float),
             include_timeliness=_switch(
                 include_timeliness, config, "modes", "include_timeliness", default=False
             ),
@@ -221,20 +235,22 @@ def collect(config_path, dataset_path, store_path, endpoint, model, shots, seed,
 
     dataset = _load_dataset(dataset_path, _languages(languages, config))
 
-    rate_limit = _pick(rate_limit, config, "collection", "rate_limit_rps")
     try:
         cfg = CollectionConfig(
             endpoint=_pick(endpoint, config, "collection", "endpoint"),
             model=_pick(model, config, "collection", "model", default="unknown"),
-            shots=int(_pick(shots, config, "collection", "shots", default=5)),
+            shots=_number(shots, config, "collection", "shots", default=5),
             exemplar_seed=_seed(seed, config),
             prompt_variant=_pick(variant, config, "collection", "variant", default="p1"),
-            temperature=float(_pick(None, config, "collection", "temperature", default=0.0)),
+            temperature=_number(None, config, "collection", "temperature", default=0.0,
+                                kind=float),
             decoding=dict(_pick(None, config, "collection", "decoding", default={})),
-            concurrency=int(_pick(concurrency, config, "collection", "concurrency", default=4)),
-            rate_limit_rps=None if rate_limit is None else float(rate_limit),
-            max_attempts=int(_pick(None, config, "collection", "max_attempts", default=3)),
-            timeout=float(_pick(None, config, "collection", "timeout", default=60.0)),
+            concurrency=_number(concurrency, config, "collection", "concurrency", default=4),
+            rate_limit_rps=_number(
+                rate_limit, config, "collection", "rate_limit_rps", default=None, kind=float
+            ),
+            max_attempts=_number(None, config, "collection", "max_attempts", default=3),
+            timeout=_number(None, config, "collection", "timeout", default=60.0, kind=float),
             token_env=_pick(None, config, "collection", "token_env", default="XLCONSIST_API_KEY"),
             cut_at_newline=_switch(None, config, "collection", "cut_at_newline", default=True),
         )
@@ -253,7 +269,7 @@ def collect(config_path, dataset_path, store_path, endpoint, model, shots, seed,
         if done["count"] % 25 == 0:
             click.echo(f"  {done['count']} cells done", err=True)
 
-    answers, manifest = collect_answers(
+    manifest = collect_answers(
         dataset,
         cfg,
         store_path,
@@ -264,8 +280,8 @@ def collect(config_path, dataset_path, store_path, endpoint, model, shots, seed,
         retry_failed=retry_failed,
         progress=progress,
     )
-    failed = sum(1 for status in answers.statuses.values() if status != "ok")
-    click.echo(f"collected {len(answers.answers)} cells ({failed} failed) -> {store_path}")
+    failed = sum(1 for cell in manifest.statuses.values() if cell["status"] != "ok")
+    click.echo(f"collected {len(manifest.statuses)} cells ({failed} failed) -> {store_path}")
     click.echo(f"manifest: {store_path}.manifest.json")
     click.echo(f"stats: {store_path}.stats.json")
     if failed:
@@ -296,12 +312,14 @@ def embed(config_path, dataset_path, answers_path, cache_path, provider_kind, en
     if provider.kind == "cache-only":
         raise click.UsageError("embed needs a fetching provider (http or mock)")
 
+    # every stored answer of the dataset's languages and items
+    wanted = set(dataset.item_ids())
     texts = sorted(
         {
-            answers.answer(lang, item_id)
+            text
             for lang in dataset.languages
-            for item_id in dataset.item_ids()
-            if (lang, item_id) in answers.answers
+            for item_id, text in zip(answers.item_ids, answers.by_language.get(lang, ()))
+            if text is not None and item_id in wanted
         }
     )
     with VectorCache(cache_path) as cache:
@@ -357,7 +375,7 @@ def score(config_path, dataset_path, answers_path, ground_truth, out_dir, cache_
     # every setting is settled before anything is forked or written. The
     # store is parsed (in a child, when fork_cpus allows) while the dataset
     # is parsed and hashed here; their errors are raised in that order
-    store = None if ground_truth else Forked(store_columns, answers_path)
+    store = None if ground_truth else Forked(load_answers, answers_path)
     try:
         dataset = _load_dataset(dataset_path, subset)
         digest = dataset_hash(dataset)

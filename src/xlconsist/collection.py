@@ -8,11 +8,13 @@ requests in flight, one per keep-alive connection of one
 ready. Rate-limit waits, jittered backoff and request deadlines are
 timers in that loop, so none of them holds up an answer that has
 arrived; the status and retry policy is `transport.RetryPolicy`, which
-the embedding client shares. A run loads its answers store once and
-refuses one of another run id, variant, seed, model, dataset or shot
-count (the endpoint is recorded, not compared). Each completed cell is
-appended to the store and to the loaded AnswerSet, which the run
-returns, so an interrupted run resumes with the missing cells. Raw
+the embedding client shares. A run reads its answers store once, the
+header and each cell's last status and attempts, never an answer's
+text, and refuses a store of another run id, variant, seed, model,
+dataset or shot count (the endpoint is recorded, not compared). Each
+completed cell is appended to the store and its status and attempts to
+the run manifest, which the run returns, so an interrupted run resumes
+with the missing cells. Raw
 completions are stored verbatim next to the post-processed answer so
 answers can be re-extracted later, and the run manifest records each
 cell's status, attempts and the exemplars from which
@@ -40,8 +42,8 @@ from .answers import (
     STATUS_OK,
     AnswerSet,
     append_answer_record,
-    load_answers,
     open_for_append,
+    store_records,
     write_answer_header,
 )
 from .dataset import Dataset, QAItem
@@ -505,7 +507,7 @@ def collect_answers(
     paraphrases: dict | None = None,
     retry_failed: bool = False,
     progress=None,
-) -> tuple[AnswerSet, RunManifest]:
+) -> RunManifest:
     """Collect one answer per (language, item) of `dataset` (cut it with
     `Dataset.subset` first to collect some languages); resumable and
     rate-limited.
@@ -519,7 +521,9 @@ def collect_answers(
     connection and the store are closed, and the cells already stored
     survive and are skipped on the next call. Writes
     `<store>.manifest.json` and `<store>.stats.json` when the run ends,
-    each replacing the previous file whole.
+    each replacing the previous file whole, and returns the manifest: the
+    status and attempts of every stored cell, this run's and earlier
+    runs', under `statuses`.
     """
     store_path = Path(store_path)
     languages = dataset.languages
@@ -542,7 +546,7 @@ def collect_answers(
     if not store_path.exists() or store_path.stat().st_size == 0:
         header = AnswerSet(run_id, cfg.model, cfg.prompt_variant, cfg.exemplar_seed, dataset_digest)
         write_answer_header(store_path, header, extra={"endpoint": cfg.endpoint, "shots": cfg.shots})
-    stored = load_answers(store_path)
+    stored, last = store_records(store_path)
     shots = stored.extra.get("shots")
     for was, wanted, refusal in (
         (
@@ -561,8 +565,13 @@ def collect_answers(
     ):
         if None not in (was, wanted) and was != wanted:  # None: nothing to compare
             raise XlconsistError(f"{store_path} {refusal}; refusing to mix")
+    # (status, attempts) of each stored cell, the last record winning
+    cells_done = {
+        key: (record.get("status", STATUS_OK), record.get("attempts"))
+        for key, record in last.items()
+    }
     started = _now()
-    if stored.statuses:  # a resumed run keeps its start
+    if cells_done:  # a resumed run keeps its start
         try:
             started = RunManifest.load(manifest_path).started_at or started
         except (OSError, ValueError, LookupError, TypeError):
@@ -571,7 +580,7 @@ def collect_answers(
     pending = []
     for item, domain in cells:
         for lang in languages:
-            status = stored.statuses.get((lang, item.id))
+            status, _ = cells_done.get((lang, item.id), (None, None))
             if status == STATUS_OK:
                 continue
             if status == STATUS_FAILED and not retry_failed:
@@ -596,8 +605,7 @@ def collect_answers(
             item, _, lang = cell
             text = postprocess_answer(raw, cfg.cut_at_newline) if status == STATUS_OK else ""
             append_answer_record(store_handle, lang, item.id, raw, text, status, attempts)
-            stored.set_answer(lang, item.id, raw, text, status)
-            stored.attempts[(lang, item.id)] = attempts
+            cells_done[(lang, item.id)] = status, attempts
             if progress is not None:
                 progress(lang, item.id, status)
 
@@ -615,12 +623,12 @@ def collect_answers(
             domain: [e.id for e in exemplars] for domain, exemplars in exemplars_by_domain.items()
         },
         statuses={
-            "/".join(key): {"status": status, "attempts": stored.attempts.get(key)}
-            for key, status in sorted(stored.statuses.items())
+            "/".join(key): {"status": status, "attempts": attempts}
+            for key, (status, attempts) in sorted(cells_done.items())
         },
         started_at=started,
         finished_at=_now(),
     )
     manifest.save(manifest_path)
     loop.stats.save(str(store_path) + ".stats.json")
-    return stored, manifest
+    return manifest

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .answers import HEADER_FIELDS, AnswerColumns, AnswerSet
+from .answers import HEADER_FIELDS, AnswerSet
 from .dataset import Dataset, dataset_hash as digest_of
 from .errors import InsufficientDataError, LanguageMismatchError, ReportFormatError
 from .forked import Forked, fork_cpus
@@ -82,13 +82,20 @@ class PairMatrix:
     degenerate: np.ndarray = None
 
     def __post_init__(self):
+        """ValueError for a language code given twice, or a `values` or
+        `degenerate` array that is not L x L."""
         self.languages = tuple(self.languages)
+        twice = sorted({code for code in self.languages if self.languages.count(code) > 1})
+        if twice:
+            raise ValueError(f"duplicate language codes {twice}")
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.degenerate is None:
-            self.degenerate = np.zeros(self.values.shape, dtype=bool)
         expected = (len(self.languages), len(self.languages))
-        if self.values.shape != expected:
-            raise ValueError(f"matrix shape {self.values.shape} != {expected}")
+        if self.degenerate is None:
+            self.degenerate = np.zeros(expected, dtype=bool)
+        self.degenerate = np.asarray(self.degenerate, dtype=bool)
+        for name, array in (("matrix", self.values), ("degenerate", self.degenerate)):
+            if array.shape != expected:
+                raise ValueError(f"{name} shape {array.shape} != {expected}")
 
     def cell(self, lang_i: str, lang_j: str) -> float:
         i = self.languages.index(lang_i)
@@ -136,15 +143,12 @@ class PairMatrix:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "PairMatrix":
-        languages = tuple(data["languages"])
-        size = len(languages)
-        values = np.full((size, size), np.nan)
-        for i, row in enumerate(data["values"]):
-            for j, cell in enumerate(row):
-                if cell is not None:
-                    values[i, j] = float(cell)
-        degenerate = np.asarray(data.get("degenerate", np.zeros((size, size))), dtype=bool)
-        return cls(languages, values, degenerate)
+        """The matrix of `to_jsonable`'s document; ValueError when its rows
+        do not make one L x L matrix."""
+        rows = [[np.nan if cell is None else float(cell) for cell in row] for row in data["values"]]
+        if len({len(row) for row in rows}) > 1:
+            raise ValueError("matrix rows differ in length")
+        return cls(data["languages"], rows, data.get("degenerate"))
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -189,7 +193,10 @@ class PairMatrix:
                     raise ReportFormatError(
                         f"{path}: row {i + 2}, column {j + 2}: {cell!r} is not a number"
                     ) from None
-        return cls(languages, values)
+        try:
+            return cls(languages, values)
+        except ValueError as exc:
+            raise ReportFormatError(f"{path}: {exc}") from None
 
 
 def _select_items(dataset: Dataset, scoring: ScoringConfig):
@@ -678,7 +685,7 @@ class ConsistencyReport:
 
 
 def build_report(
-    answers: AnswerSet | AnswerColumns,
+    answers: AnswerSet,
     dataset: Dataset,
     embedder,
     scoring: ScoringConfig = DEFAULT_SCORING,

@@ -1,5 +1,6 @@
-"""The answers store's two readers, `load_answers` and `store_columns`
-(forked and inline), against a reference per-line loop."""
+"""The answers store's readers, `load_answers` (forked and inline, as
+`score` runs it) and `store_records`, against a reference per-line loop,
+and the one answers type, `AnswerSet`."""
 
 import json
 import os
@@ -8,14 +9,15 @@ import pytest
 
 from xlconsist import answers as answers_module
 from xlconsist.answers import (
-    HEADER_FIELDS,
     AnswerSet,
     load_answers,
-    store_columns,
+    store_records,
     write_answer_header,
 )
 from xlconsist.errors import DatasetFormatError, MissingAnswersError
 from xlconsist.forked import Forked
+
+from conftest import answer_cells
 
 
 def record(lang, item, text, **extra):
@@ -79,15 +81,16 @@ STORES = [
 ]
 
 
-def per_line_load(path):
-    """Reference loader: json.loads on each "\\n"-separated line, one
-    set_answer per record."""
+def per_line(path):
+    """Reference reader: json.loads on each "\\n"-separated line. The header
+    as an AnswerSet with no cells, and the records in stored order."""
     lines = path.read_text(encoding="utf-8").split("\n")
     if lines[-1] == "":
         lines.pop()  # the text ended with a line break
     head = json.loads(lines[0])
-    loaded = AnswerSet(run_id=head["run_id"], model_id=head["model_id"],
+    header = AnswerSet(run_id=head["run_id"], model_id=head["model_id"],
                        seed=head["seed"], dataset_hash=head["dataset_hash"])
+    records = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -99,31 +102,48 @@ def per_line_load(path):
             raise DatasetFormatError("invalid answer record", line=line_no)
         if not isinstance(rec, dict):
             raise DatasetFormatError("answer record is not a JSON object", line=line_no)
-        loaded.set_answer(rec["lang"], rec["item"], rec.get("raw", rec["text"]), rec["text"],
-                          rec.get("status", "ok"))
-        if "attempts" in rec:
-            loaded.attempts[(rec["lang"], rec["item"])] = rec["attempts"]
+        records.append(rec)
+    return header, records
+
+
+def per_line_load(path):
+    """The reference reader's AnswerSet: one set_answer per record."""
+    loaded, records = per_line(path)
+    for rec in records:
+        loaded.set_answer(rec["lang"], rec["item"], rec["text"])
     return loaded
 
 
-def outcome(load, path):
-    """The AnswerSet with its dicts' insertion order, or the error raised."""
+def per_line_records(path):
+    """The reference reader's header and last record of each cell."""
+    header, records = per_line(path)
+    last = {}
+    for rec in records:
+        last[(rec["lang"], rec["item"])] = rec
+    return header, last
+
+
+def outcome(read, path):
+    """What `read` returns, with the order of its item ids, languages and
+    records, or the error raised."""
     try:
-        loaded = load(path)
+        value = read(path)
     except Exception as exc:  # compared by type and message
         return ("error", type(exc).__name__, str(exc), getattr(exc, "line", None))
-    return ("ok", loaded, [list(d.items()) for d in
-                           (loaded.answers, loaded.raw, loaded.statuses, loaded.attempts)])
+    if isinstance(value, AnswerSet):
+        return ("ok", value, value.item_ids, list(value.by_language))
+    header, last = value
+    return ("ok", header, list(last.items()))
 
 
-def read_columns(forked):
-    """store_columns through Forked: in a child (two CPUs in the affinity
+def read_through_forked(forked):
+    """load_answers through Forked: in a child (two CPUs in the affinity
     mask) or inline (one)."""
     def read(path):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if forked else {0},
                           raising=False)
-            reader = Forked(store_columns, path)
+            reader = Forked(load_answers, path)
         try:
             assert (reader._pid is not None) == forked
             return reader.result()
@@ -132,44 +152,18 @@ def read_columns(forked):
     return read
 
 
-# every reader of a store, each with its own checks
-READERS = [load_answers, read_columns(forked=True), read_columns(forked=False)]
-
-
-def cell(source, lang, item_id):
-    """One cell through `.columns`, None where `source` has no answer."""
-    try:
-        return source.columns([lang], [item_id])[0][0]
-    except MissingAnswersError:
-        return None
-
-
-def columns_outcome(read, path):
-    """The header fields, the languages and items in first-stored order and
-    every cell through `.columns` (and one language and item the store
-    lacks), or the error raised."""
-    try:
-        source = read(path)
-    except Exception as exc:  # compared by type and message
-        return ("error", type(exc).__name__, str(exc), getattr(exc, "line", None))
-    if isinstance(source, AnswerSet):
-        languages = list(dict.fromkeys(lang for lang, _ in source.answers))
-        item_ids = list(dict.fromkeys(item_id for _, item_id in source.answers))
-    else:
-        languages, item_ids = list(source.by_language), source.item_ids
-    cells = [[cell(source, lang, item_id) for item_id in [*item_ids, "absent"]]
-             for lang in [*languages, "xx"]]
-    return ("ok", [getattr(source, key) for key in HEADER_FIELDS], languages, item_ids, cells)
+# the one store reader, as score runs it: forked and inline
+READERS = [read_through_forked(forked=True), read_through_forked(forked=False)]
 
 
 @pytest.mark.parametrize("name, body", STORES, ids=[s[0] for s in STORES])
 def test_loader_matches_per_line_loop(tmp_path, name, body):
     path = tmp_path / "a.jsonl"
     path.write_bytes((header() + "\n" + body).encode("utf-8"))
-    assert outcome(load_answers, path) == outcome(per_line_load, path)
-    expected = columns_outcome(per_line_load, path)
+    expected = outcome(per_line_load, path)
     for read in READERS:
-        assert columns_outcome(read, path) == expected
+        assert outcome(read, path) == expected
+    assert outcome(store_records, path) == outcome(per_line_records, path)
 
 
 @pytest.mark.parametrize("name, body", STORES, ids=[s[0] for s in STORES])
@@ -194,11 +188,13 @@ def test_loader_reads_the_expected_cells(tmp_path):
     loaded = load_answers(path)
     assert (loaded.run_id, loaded.model_id, loaded.seed, loaded.dataset_hash) == (
         "r", "m", 3, "abc")
-    assert loaded.answers == {("en", "q1"): "Lyon", ("de", "q1"): "Paris",
-                              ("en", "q2"): "Caf\u00e9", ("ja", "q2"): "東京"}
-    assert loaded.raw[("en", "q2")] == " Cafe\u0301\n"
-    assert loaded.statuses[("en", "q1")] == "failed"
-    assert loaded.attempts[("en", "q1")] == 3
+    assert answer_cells(loaded) == {("en", "q1"): "Lyon", ("de", "q1"): "Paris",
+                                    ("en", "q2"): "Caf\u00e9", ("ja", "q2"): "東京"}
+    stored, last = store_records(path)
+    assert stored == AnswerSet(run_id="r", model_id="m", seed=3, dataset_hash="abc")
+    assert list(last) == [("en", "q1"), ("de", "q1"), ("en", "q2"), ("ja", "q2")]
+    assert last[("en", "q2")]["raw"] == " Cafe\u0301\n"
+    assert (last[("en", "q1")]["status"], last[("en", "q1")]["attempts"]) == ("failed", 3)
 
 
 @pytest.mark.parametrize(
@@ -219,7 +215,7 @@ def test_loader_reads_the_expected_cells(tmp_path):
 def test_bad_interior_line_names_its_line(tmp_path, body, line, message):
     path = tmp_path / "a.jsonl"
     path.write_text(header() + "\n" + body, encoding="utf-8")
-    for read in READERS:
+    for read in [*READERS, store_records]:
         with pytest.raises(DatasetFormatError, match=message) as excinfo:
             read(path)
         assert excinfo.value.line == line
@@ -231,8 +227,8 @@ def test_final_line_torn_inside_a_character_is_dropped(tmp_path):
     cut = whole.rindex("東".encode("utf-8")) + 1  # inside the character
     for tail in (b"", b"\n"):
         path.write_bytes(whole[:cut] + tail)
-        assert load_answers(path).answers == {("en", "q1"): "Lyon", ("de", "q1"): "Paris",
-                                              ("en", "q2"): "Caf\u00e9"}
+        assert answer_cells(load_answers(path)) == {
+            ("en", "q1"): "Lyon", ("de", "q1"): "Paris", ("en", "q2"): "Caf\u00e9"}
     # on any other line the bytes that do not decode are an error naming it
     path.write_bytes(whole[:cut] + b"\n" + CLEAN[0].encode("utf-8") + b"\n")
     with pytest.raises(DatasetFormatError, match="is not UTF-8") as excinfo:
@@ -249,7 +245,7 @@ def test_answer_with_a_unicode_line_separator_is_one_record(tmp_path, separator)
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(record("en", "q1", text) + "\n" + record("en", "q2", "x") + "\n")
     loaded = load_answers(path)
-    assert loaded.answers == {("en", "q1"): text, ("en", "q2"): "x"}
+    assert answer_cells(loaded) == {("en", "q1"): text, ("en", "q2"): "x"}
 
 
 @pytest.mark.parametrize("fields", [
@@ -262,7 +258,7 @@ def test_record_with_a_field_that_is_not_a_string_names_its_line(tmp_path, field
     path = tmp_path / "a.jsonl"
     path.write_text(header() + "\n" + CLEAN[0] + "\n" + json.dumps(fields) + "\n" + CLEAN[1]
                     + "\n", encoding="utf-8")
-    for read in READERS:
+    for read in [*READERS, store_records]:
         with pytest.raises(DatasetFormatError, match="needs string lang, item and text") as excinfo:
             read(path)
         assert excinfo.value.line == 3
@@ -287,18 +283,18 @@ def fork(request, monkeypatch):
 
 
 def test_reader_gives_the_columns_of_the_loaded_store(clean_store, fork):
-    reader = Forked(store_columns, clean_store)
+    reader = Forked(load_answers, clean_store)
     try:
         assert (reader._pid is not None) == fork
-        columns = reader.result()
+        loaded = reader.result()
     finally:
         reader.close()
-    assert (columns.run_id, columns.model_id, columns.seed, columns.dataset_hash) == (
+    assert (loaded.run_id, loaded.model_id, loaded.seed, loaded.dataset_hash) == (
         "r", "m", 3, "abc")
-    assert columns.item_ids == ["q1", "q2"]
-    assert columns.by_language == {"en": ["Lyon", "Café"], "de": ["Paris", None],
-                                   "ja": [None, "東京"]}
-    assert columns.columns(["en"], ["q2", "q1"]) == [["Café", "Lyon"]]
+    assert loaded.item_ids == ["q1", "q2"]
+    assert loaded.by_language == {"en": ["Lyon", "Café"], "de": ["Paris", None],
+                                  "ja": [None, "東京"]}
+    assert loaded.columns(["en"], ["q2", "q1"]) == [["Café", "Lyon"]]
 
 
 @pytest.mark.parametrize("languages, item_ids", [
@@ -308,22 +304,48 @@ def test_reader_gives_the_columns_of_the_loaded_store(clean_store, fork):
     (["en", "fr"], ["q1"]),  # a language the store lacks
     (["fr", "en", "ja"], ["q3", "q2"]),  # and an item
 ])
-def test_columns_read_from_the_store_match_the_answer_set(clean_store, languages, item_ids):
-    def outcome(source):
-        try:
-            return source.columns(languages, item_ids)
-        except MissingAnswersError as exc:
-            return str(exc), exc.missing
-
+def test_columns_match_a_lookup_per_cell(clean_store, languages, item_ids):
     loaded = load_answers(clean_store)
-    assert outcome(store_columns(clean_store)) == outcome(loaded)
+    stored = answer_cells(loaded)
+    expected = [[stored.get((lang, item_id)) for item_id in item_ids] for lang in languages]
+    missing = [(lang, item_id) for lang in languages for item_id in item_ids
+               if (lang, item_id) not in stored]
+    if missing:
+        with pytest.raises(MissingAnswersError) as excinfo:
+            loaded.columns(languages, item_ids)
+        assert excinfo.value.missing == missing
+    else:
+        assert loaded.columns(languages, item_ids) == expected
+    for lang in languages:
+        for item_id in item_ids:
+            if (lang, item_id) in stored:
+                assert loaded.answer(lang, item_id) == stored[(lang, item_id)]
+            else:
+                with pytest.raises(KeyError):
+                    loaded.answer(lang, item_id)
+
+
+def test_set_answer_on_a_loaded_set_pads_every_column_and_the_last_write_wins(clean_store):
+    loaded = load_answers(clean_store)
+    loaded.set_answer("en", "q3", "Rome")  # a new item
+    loaded.set_answer("fr", "q1", "Paris")  # a new language
+    loaded.set_answer("de", "q1", "Berlin")  # a cell it holds
+    loaded.set_answer("fr", "q1", "Cafe\u0301")  # NFC, and the last write wins
+    assert loaded.item_ids == ["q1", "q2", "q3"]
+    assert loaded.by_language == {"en": ["Lyon", "Café", "Rome"], "de": ["Berlin", None, None],
+                                  "ja": [None, "東京", None], "fr": ["Café", None, None]}
+    assert all(len(column) == len(loaded.item_ids) for column in loaded.by_language.values())
+    assert loaded.columns(["fr", "en"], ["q1"]) == [["Café"], ["Lyon"]]
+    with pytest.raises(MissingAnswersError) as excinfo:
+        loaded.columns(["fr"], ["q3"])
+    assert excinfo.value.missing == [("fr", "q3")]
 
 
 def test_reader_raises_the_stores_error(tmp_path, fork):
     path = tmp_path / "a.jsonl"
     path.write_text(header() + "\n" + CLEAN[0] + '\n{"lang": "en", "raw"\n' + CLEAN[1] + "\n",
                     encoding="utf-8")
-    reader = Forked(store_columns, path)
+    reader = Forked(load_answers, path)
     try:
         with pytest.raises(DatasetFormatError, match="invalid answer record") as excinfo:
             reader.result()
@@ -334,7 +356,7 @@ def test_reader_raises_the_stores_error(tmp_path, fork):
 
 def test_closing_a_reader_before_it_is_asked_ends_its_child(clean_store, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    reader = Forked(store_columns, clean_store)
+    reader = Forked(load_answers, clean_store)
     pid = reader._pid
     reader.close()
     with pytest.raises(ChildProcessError):

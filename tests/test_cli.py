@@ -11,7 +11,7 @@ from xlconsist.dataset import dataset_hash, load_dataset, serialize_dataset, wri
 from xlconsist.fixtures import bundled_fixture_path, mini_fixture, mini_fixture_answers
 from xlconsist.mockllm import MockLLMServer
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, answer_cells
 
 
 @pytest.fixture
@@ -440,7 +440,7 @@ def _ground_truth_store(path):
     truth = ground_truth_answers(mini_fixture())
     write_answer_header(path, truth)
     with open(path, "a", encoding="utf-8") as handle:
-        for (lang, item_id), text in truth.answers.items():
+        for (lang, item_id), text in answer_cells(truth).items():
             append_answer_record(handle, lang, item_id, text, text, "ok", 1)
     return path
 
@@ -455,8 +455,25 @@ def _ground_truth_store(path):
     ("collect", [], "seed: abc\n", "seed must be an integer, got 'abc'"),
     ("score", [], "seed: abc\n", "seed must be an integer, got 'abc'"),
     ("embed", [], "seed: abc\n", "seed must be an integer, got 'abc'"),
+    # a number that the setting would silently change is refused, not truncated
+    ("score", [], "chrf:\n  char_ngram_max: 2.7\n",
+     "chrf.char_ngram_max must be an integer, got 2.7"),
+    ("score", [], "chrf:\n  word_ngram_max: true\n",
+     "chrf.word_ngram_max must be an integer, got True"),
+    ("score", [], "provider:\n  expected_dims: 16.9\n",
+     "provider.expected_dims must be an integer, got 16.9"),
+    ("score", [], "seed: 2.5\n", "seed must be an integer, got 2.5"),
+    ("score", [], "modes:\n  tau: true\n", "modes.tau must be a number, got True"),
+    ("score", [], "chrf:\n  beta: true\n", "chrf.beta must be a number, got True"),
+    ("collect", [], "collection:\n  shots: 1.5\n", "collection.shots must be an integer, got 1.5"),
+    ("collect", [], "collection:\n  timeout: false\n",
+     "collection.timeout must be a number, got False"),
+    ("embed", [], "provider:\n  batch_size: 8.5\n",
+     "provider.batch_size must be an integer, got 8.5"),
 ], ids=["concurrency", "rate-limit-0", "rate-limit-negative", "max-attempts", "dims",
-        "batch-size", "collect-seed", "score-seed", "embed-seed"])
+        "batch-size", "collect-seed", "score-seed", "embed-seed", "char-ngram-max-fraction",
+        "word-ngram-max-bool", "expected-dims-fraction", "seed-fraction", "tau-bool",
+        "beta-bool", "shots-fraction", "timeout-bool", "batch-size-fraction"])
 def test_out_of_range_setting_exits_two_and_writes_nothing(
     runner, tmp_path, command, args, config, shown
 ):
@@ -556,7 +573,7 @@ def test_quoted_rate_limit_in_the_config_is_read_as_a_number(runner, tmp_path):
 def test_rate_limit_that_is_not_a_number_exits_two_and_writes_nothing(runner, tmp_path):
     result = _collect_with_rate_limit(runner, tmp_path, "fast")
     assert result.exit_code == 2, result.output
-    assert "could not convert string to float: 'fast'" in result.output
+    assert "collection.rate_limit_rps must be a number, got 'fast'" in result.output
     assert not (tmp_path / "a.jsonl").exists()
 
 
@@ -588,6 +605,9 @@ def _golden_json(edit):
      [], 1, ["row 2, column 4: 'x' is not a number"]),
     ("correlate", None, _golden_csv(lambda lines: [lines[0], "en,,,", "de,,,", "zh,,,"]),
      [], 1, ["fewer than 2 common off-diagonal cells"]),
+    ("correlate", None, _golden_csv(lambda lines: ["lang,en,de,en", *lines[1:3],
+                                                   "en" + lines[3][2:]]),
+     [], 1, ["duplicate language codes ['en']"]),
     ("report", None, _golden_json(lambda r: r.update(schema="other/1")), [], 1,
      ["expected schema 'xlconsist-report/1', got 'other/1'"]),
     ("report", None, _golden_json(lambda r: r.pop("metrics")), [], 1, ["missing key 'metrics'"]),
@@ -606,6 +626,16 @@ def _golden_json(edit):
      ["malformed report: 'degenerate_pairs' value 'xtc' is not an integer"]),
     ("report", None, _golden_json(lambda r: r.update(provenance=["seed"])), [], 1,
      ["malformed report: 'provenance' is not an object"]),
+    ("report", None, _golden_json(lambda r: r["matrices"]["xac"].update(
+        values=r["matrices"]["xac"]["values"][:1])), [], 1,
+     ["malformed report: matrix shape (1, 3) != (3, 3)"]),
+    ("report", None, _golden_json(lambda r: r["matrices"]["xac"]["values"][1].pop()), [], 1,
+     ["malformed report: matrix rows differ in length"]),
+    ("report", None, _golden_json(lambda r: r["matrices"]["xtc"].update(degenerate=[[0]])),
+     [], 1, ["malformed report: degenerate shape (1, 1) != (3, 3)"]),
+    ("report", None, _golden_json(lambda r: r["matrices"]["xsc"].update(
+        languages=["en", "de", "en"])), [], 1,
+     ["malformed report: duplicate language codes ['en']"]),
     ("score", "--config", lambda tmp_path: "schema: [xlconsist-run/1\n", [], 2,
      ["not a YAML run config"]),
     ("score", "--config", lambda tmp_path: "- chrf\n- modes\n", [], 2,
@@ -639,10 +669,12 @@ def _golden_json(edit):
     ("collect", "--paraphrases", lambda tmp_path: '{"geo-01": {"en": "Capital of France?"}}',
      ["--variant", "p3"], 1, ["no paraphrase for item 'geo-01' in language 'de'"]),
 ], ids=["correlate-rows-out-of-order", "correlate-not-a-matrix", "correlate-not-a-number",
-        "correlate-no-common-cells", "report-other-schema", "report-missing-key",
+        "correlate-no-common-cells", "correlate-csv-duplicate-language", "report-other-schema", "report-missing-key",
         "report-not-json", "report-metric-not-a-number", "report-domain-not-a-number",
         "report-domain-a-bool", "report-domains-a-list", "report-degenerate-pairs-a-string",
-        "report-degenerate-pairs-a-bool", "report-provenance-a-list", "config-not-yaml", "config-a-list",
+        "report-degenerate-pairs-a-bool", "report-provenance-a-list", "report-values-one-row",
+        "report-values-ragged", "report-degenerate-one-cell", "report-duplicate-language",
+        "config-not-yaml", "config-a-list",
         "config-section-not-a-mapping", "case-fold-string", "include-timeliness-string",
         "languages-a-number", "xtc-mode-unknown", "tau-nan", "tau-above-one", "beta-nan", "cut-at-newline-string",
         "templates-not-json",
@@ -670,6 +702,21 @@ def test_bad_input_ends_in_one_error_line_and_writes_nothing(
         assert llm.request_count == 0
     (_one_line_error if code == 1 else _usage_error)(result, *shown)
     assert not out.exists() and not store.exists() and not cache.exists()
+
+
+def test_an_integral_float_setting_is_read_as_its_integer(runner, tmp_path):
+    config = tmp_path / "run.yaml"
+    config.write_text("schema: xlconsist-run/1\nseed: 0.0\nchrf:\n  char_ngram_max: 6.0\n"
+                      "provider:\n  expected_dims: 32.0\n", encoding="utf-8")
+    reports = []
+    for name, extra in (("plain", []), ("floats", ["--config", str(config)])):
+        result = runner.invoke(cli, [
+            "score", "--dataset", str(bundled_fixture_path()), "--ground-truth",
+            "--out-dir", str(tmp_path / name), *extra,
+        ])
+        assert result.exit_code == 0, result.output
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_an_empty_config_section_means_its_defaults(runner, tmp_path):

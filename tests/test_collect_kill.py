@@ -23,9 +23,10 @@ import pytest
 from click.testing import CliRunner
 
 import xlconsist
-from xlconsist.answers import load_answers
 from xlconsist.cli import cli
 from xlconsist.fixtures import bundled_fixture_path
+
+from conftest import last_records
 
 SRC = Path(xlconsist.__file__).resolve().parents[1]
 CELLS = 84  # 3 languages x 28 items in the bundled fixture
@@ -76,7 +77,7 @@ def collect_until_killed(url, store, records, retry_failed):
 def collect(url, store, retry_failed=False):
     result = CliRunner().invoke(cli, collect_args(url, store, 4, retry_failed))
     assert result.exit_code == 0, result.output
-    return load_answers(store)
+    return last_records(store)
 
 
 def sidecars(store):
@@ -100,7 +101,7 @@ def test_killed_collect_resumes_to_the_uninterrupted_cells(
     for records in kills:
         collect_until_killed(endpoint, store, records, retry_failed)
     assert not any(path.exists() for path in sidecars(store))  # the kill skipped them
-    stored = len(load_answers(store).answers) if store.stat().st_size else 0
+    stored = len(last_records(store)) if store.stat().st_size else 0
     assert stored >= kills[-1]
     for state, left, path in zip((manifest, stats), sidecars(uninterrupted), sidecars(store)):
         if state == "stale":  # another run's file
@@ -111,8 +112,7 @@ def test_killed_collect_resumes_to_the_uninterrupted_cells(
 
     resumed = collect(endpoint, store, retry_failed)
 
-    assert (resumed.answers, resumed.raw, resumed.statuses) == (
-        reference.answers, reference.raw, reference.statuses)
+    assert resumed == reference
     assert store.read_bytes().count(b"\n") == 1 + CELLS  # the header, then each cell once
     manifest_path, stats_path = sidecars(store)
     written = json.loads(manifest_path.read_text(encoding="utf-8"))

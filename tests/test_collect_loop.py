@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from xlconsist.answers import STATUS_FAILED, STATUS_OK, load_answers
+from xlconsist.answers import STATUS_FAILED, STATUS_OK, store_records
 from xlconsist.collection import CollectionConfig, collect_answers
 from xlconsist.fixtures import mini_fixture, mini_fixture_answers
 from xlconsist.mockllm import MockLLMServer
@@ -102,7 +102,7 @@ def make_cfg(url, **kwargs):
     return CollectionConfig(**defaults)
 
 
-def store_records(store):
+def record_lines(store):
     return [json.loads(line) for line in store.read_text(encoding="utf-8").splitlines()[1:]]
 
 
@@ -118,7 +118,7 @@ def test_backoff_keeps_its_slot_and_holds_up_no_other_cell(scripted_server, tmp_
     collect_answers(
         dataset, make_cfg(url, backoff_base=0.2), store, run_id="t-run"
     )
-    records = store_records(store)
+    records = record_lines(store)
     assert len(records) == 20
     assert all(record["status"] == STATUS_OK for record in records)
     # the first cell backs off 0.1-0.3 s, then 0.2-0.6 s; the other slot
@@ -138,13 +138,11 @@ def test_unanswered_request_times_out_and_holds_up_no_other_cell(scripted_server
     store = tmp_path / "a.jsonl"
     cfg = make_cfg(url, timeout=0.3, max_attempts=2)
     start = time.monotonic()
-    answers, manifest = collect_answers(dataset, cfg, store, run_id="t-run")
+    manifest = collect_answers(dataset, cfg, store, run_id="t-run")
     elapsed = time.monotonic() - start
-    key = (dataset.languages[0], dataset.qa_items[0].id)
-    assert answers.statuses[key] == STATUS_FAILED
-    assert answers.attempts[key] == 2
-    assert manifest.statuses["/".join(key)] == {"status": STATUS_FAILED, "attempts": 2}
-    others = {cell: status for cell, status in answers.statuses.items() if cell != key}
+    key = f"{dataset.languages[0]}/{dataset.qa_items[0].id}"
+    assert manifest.statuses[key] == {"status": STATUS_FAILED, "attempts": 2}
+    others = {cell: entry["status"] for cell, entry in manifest.statuses.items() if cell != key}
     assert len(others) == 19 and set(others.values()) == {STATUS_OK}
     assert elapsed < 2.0
     assert handler.seen[first] == 2
@@ -166,11 +164,11 @@ def test_collect_starts_no_thread(tmp_path):
                 if "process_request_thread" not in thread.name
             )
 
-        answers, _ = collect_answers(
+        manifest = collect_answers(
             dataset, make_cfg(server.url, concurrency=4), tmp_path / "a.jsonl",
             run_id="t-run", progress=progress,
         )
-    assert len(answers.answers) == 84
+    assert len(manifest.statuses) == 84
     assert started == []
 
 
@@ -179,11 +177,9 @@ def test_rate_limit_paces_the_loop(tmp_path):
     with MockLLMServer(mini_fixture_answers()) as server:
         cfg = make_cfg(server.url, rate_limit_rps=50.0)
         start = time.monotonic()
-        answers, _ = collect_answers(
-            dataset, cfg, tmp_path / "a.jsonl", run_id="t-run"
-        )
+        manifest = collect_answers(dataset, cfg, tmp_path / "a.jsonl", run_id="t-run")
         elapsed = time.monotonic() - start
-    assert set(answers.statuses.values()) == {STATUS_OK}
+    assert {entry["status"] for entry in manifest.statuses.values()} == {STATUS_OK}
     # a burst of `concurrency` tokens, then one every 20 ms
     assert elapsed >= (20 - 2) / 50.0 * 0.9
 
@@ -218,8 +214,8 @@ def test_stats_count_what_the_server_received(scripted_server, tmp_path):
     manifest = (store.parent / "a.jsonl.manifest.json").read_text(encoding="utf-8")
     for text in (store.read_text(encoding="utf-8"), manifest):
         assert "latency_ms" not in text and "stale_resends" not in text
-    assert all(record["attempts"] in (1, 2) for record in store_records(store))
-    assert len(load_answers(store).answers) == 20
+    assert all(record["attempts"] in (1, 2) for record in record_lines(store))
+    assert len(store_records(store)[1]) == 20
 
 
 def test_failed_cell_records_the_attempts_it_used(scripted_server, tmp_path, caplog):
@@ -229,11 +225,10 @@ def test_failed_cell_records_the_attempts_it_used(scripted_server, tmp_path, cap
     questions = [item.questions[lang] for item in dataset.qa_items for lang in dataset.languages]
     url, handler = scripted_server(fail={q: 1 for q in questions}, fail_status=400)
     store = tmp_path / "a.jsonl"
-    answers, manifest = collect_answers(dataset, make_cfg(url), store,
-                                        run_id="t-run")
+    manifest = collect_answers(dataset, make_cfg(url), store, run_id="t-run")
     assert handler.statuses == [400] * 20
-    assert set(answers.statuses.values()) == {STATUS_FAILED}
-    assert [record["attempts"] for record in store_records(store)] == [1] * 20
+    assert {entry["status"] for entry in manifest.statuses.values()} == {STATUS_FAILED}
+    assert [record["attempts"] for record in record_lines(store)] == [1] * 20
     assert {entry["attempts"] for entry in manifest.statuses.values()} == {1}
     stats = read_stats(store)
     assert (stats["attempts"], stats["retries"], stats["failed_cells"]) == (20, 0, 20)
@@ -246,10 +241,11 @@ class StopAfter(Exception):
     pass
 
 
-def test_returned_answer_set_is_the_loaded_store(scripted_server, tmp_path):
-    """The AnswerSet that `collect_answers` returns equals a load of its store
-    in every field, header fields included, after a fresh run, a resumed run
-    and a `retry_failed` run; the manifest lists the same statuses."""
+def test_returned_manifest_lists_the_last_record_of_each_stored_cell(scripted_server, tmp_path):
+    """The manifest that `collect_answers` returns lists the status and
+    attempts of each cell's last record in its store, after a fresh run, a
+    resumed run and a `retry_failed` run, and the store header keeps the
+    endpoint and shot count."""
     dataset = small_dataset()
     questions = [item.questions[lang] for item in dataset.qa_items for lang in dataset.languages]
     url, _ = scripted_server(fail={q: 1 for q in questions[:6]}, fail_status=400)
@@ -270,16 +266,15 @@ def test_returned_answer_set_is_the_loaded_store(scripted_server, tmp_path):
         ("fresh", tmp_path / "fresh.jsonl", False),
         ("retry failed", store, True),
     ):
-        answers, manifest = collect_answers(dataset, make_cfg(url), path,
-                                            run_id="t-run", retry_failed=retry_failed)
-        loaded = load_answers(path)
-        assert answers == loaded, name
-        assert answers.extra == {"endpoint": url, "shots": 0}
+        manifest = collect_answers(dataset, make_cfg(url), path,
+                                   run_id="t-run", retry_failed=retry_failed)
+        header, last = store_records(path)
+        assert header.extra == {"endpoint": url, "shots": 0}, name
         assert manifest.statuses == {
-            "/".join(key): {"status": status, "attempts": loaded.attempts[key]}
-            for key, status in sorted(loaded.statuses.items())
-        }
-        statuses[name] = Counter(answers.statuses.values())
+            "/".join(key): {"status": record["status"], "attempts": record["attempts"]}
+            for key, record in sorted(last.items())
+        }, name
+        statuses[name] = Counter(entry["status"] for entry in manifest.statuses.values())
     # the first six cells failed once with a status that is not retried
     assert statuses == {
         "resumed": {STATUS_FAILED: 6, STATUS_OK: 14},

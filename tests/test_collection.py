@@ -31,6 +31,8 @@ from xlconsist.errors import (
 from xlconsist.fixtures import mini_fixture, mini_fixture_answers
 from xlconsist.mockllm import MockLLMServer, fallback_answer
 
+from conftest import last_records
+
 
 # -- exemplar sampling ---------------------------------------------------------
 
@@ -190,11 +192,12 @@ def collect_fixture(store, url, **kwargs):
 
 def test_collect_full_population(tmp_path):
     with MockLLMServer(mini_fixture_answers()) as server:
-        answers, manifest = collect_fixture(tmp_path / "a.jsonl", server.url)
+        manifest = collect_fixture(tmp_path / "a.jsonl", server.url)
     dataset = mini_fixture()
     expected_cells = (len(dataset.qa_items) + len(dataset.timeliness_items)) * 3
-    assert len(answers.answers) == expected_cells
-    assert all(status == STATUS_OK for status in answers.statuses.values())
+    assert len(manifest.statuses) == expected_cells
+    assert all(entry["status"] == STATUS_OK for entry in manifest.statuses.values())
+    answers = load_answers(tmp_path / "a.jsonl")
     assert answers.answer("en", "geo-01") == "Paris"
     assert answers.answer("zh", "geo-03") == "圣彼得堡"  # planned wrong answer
     assert manifest.finished_at is not None
@@ -279,8 +282,8 @@ def test_retry_then_success_logs_attempts(tmp_path):
     try:
         url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
         cfg = make_cfg(url, shots=0, max_attempts=3)
-        answers, _ = collect_answers(d, cfg, tmp_path / "a.jsonl", run_id="t-run")
-        assert all(status == STATUS_OK for status in answers.statuses.values())
+        manifest = collect_answers(d, cfg, tmp_path / "a.jsonl", run_id="t-run")
+        assert all(entry["status"] == STATUS_OK for entry in manifest.statuses.values())
         records = [
             json.loads(line)
             for line in (tmp_path / "a.jsonl").read_text().splitlines()[1:]
@@ -297,7 +300,7 @@ def test_manifest_records_attempts(tmp_path, flaky_server):
     d = mini_fixture().subset(["en", "de"])
     d = type(d)(languages=d.languages, qa_items=d.qa_items[:1], few_shot_pool=d.few_shot_pool)
     cfg = make_cfg(url, shots=0, max_attempts=3)
-    _, manifest = collect_answers(d, cfg, tmp_path / "a.jsonl", run_id="t-run")
+    manifest = collect_answers(d, cfg, tmp_path / "a.jsonl", run_id="t-run")
     expected = {"status": STATUS_OK, "attempts": 3}
     assert manifest.statuses == {"en/geo-01": expected, "de/geo-01": expected}
     loaded = RunManifest.load(str(tmp_path / "a.jsonl") + ".manifest.json")
@@ -310,11 +313,11 @@ def test_always_failing_server_yields_failed_cells(tmp_path, flaky_server):
     d = mini_fixture().subset(["en", "de"])
     d = type(d)(languages=d.languages, qa_items=d.qa_items[:2], few_shot_pool=d.few_shot_pool)
     cfg = make_cfg(url, shots=0, max_attempts=2)
-    answers, manifest = collect_answers(d, cfg, tmp_path / "a.jsonl", run_id="t-run")
-    assert len(answers.answers) == 4
-    assert all(status == STATUS_FAILED for status in answers.statuses.values())
-    assert all(text == "" for text in answers.answers.values())
+    manifest = collect_answers(d, cfg, tmp_path / "a.jsonl", run_id="t-run")
+    assert len(manifest.statuses) == 4
     assert all(entry["status"] == STATUS_FAILED for entry in manifest.statuses.values())
+    stored = last_records(tmp_path / "a.jsonl")
+    assert {(text, status) for _, text, status in stored.values()} == {("", STATUS_FAILED)}
 
 
 def test_auth_failure_aborts(tmp_path, flaky_server):
@@ -337,9 +340,8 @@ def test_resume_idempotence(tmp_path):
 
     with MockLLMServer(canned) as server:
         cfg = make_cfg(server.url, concurrency=2)
-        uninterrupted, _ = collect_answers(
-            dataset, cfg, tmp_path / "full.jsonl", run_id="t-run"
-        )
+        collect_answers(dataset, cfg, tmp_path / "full.jsonl", run_id="t-run")
+        uninterrupted = last_records(tmp_path / "full.jsonl")
 
         seen = {"count": 0}
 
@@ -353,19 +355,15 @@ def test_resume_idempotence(tmp_path):
                 dataset, cfg, tmp_path / "resumed.jsonl",
                 run_id="t-run", progress=interrupt,
             )
-        partial = load_answers(tmp_path / "resumed.jsonl")
-        assert 0 < len(partial.answers) < len(uninterrupted.answers)
+        partial = last_records(tmp_path / "resumed.jsonl")
+        assert 0 < len(partial) < len(uninterrupted)
 
         before_resume = server.request_count
-        resumed, _ = collect_answers(
-            dataset, cfg, tmp_path / "resumed.jsonl", run_id="t-run"
-        )
+        collect_answers(dataset, cfg, tmp_path / "resumed.jsonl", run_id="t-run")
         filled = server.request_count - before_resume
         assert filled < 84  # only missing cells were fetched
 
-    assert resumed.answers == uninterrupted.answers
-    assert resumed.statuses == uninterrupted.statuses
-    assert resumed.raw == uninterrupted.raw
+    assert last_records(tmp_path / "resumed.jsonl") == uninterrupted
 
 
 def test_progress_abort_stops_every_request_loop(tmp_path):
@@ -399,15 +397,15 @@ def test_progress_abort_stops_every_request_loop(tmp_path):
         ]
         assert left == []
         assert server.request_count <= k + concurrency
-        stored = load_answers(store)
-        assert set(reported) <= set(stored.answers)
-        assert k <= len(stored.answers) <= k + concurrency
+        stored = last_records(store)
+        assert set(reported) <= set(stored)
+        assert k <= len(stored) <= k + concurrency
 
         fetched = server.request_count
-        answers, _ = collect_answers(dataset, cfg, store, run_id="t-run")
-        assert server.request_count - fetched == 84 - len(stored.answers)
-    assert len(answers.answers) == 84
-    assert all(status == STATUS_OK for status in answers.statuses.values())
+        manifest = collect_answers(dataset, cfg, store, run_id="t-run")
+        assert server.request_count - fetched == 84 - len(stored)
+    assert len(manifest.statuses) == 84
+    assert all(entry["status"] == STATUS_OK for entry in manifest.statuses.values())
 
 
 def test_resume_after_a_torn_final_line_loses_no_cell(tmp_path):
@@ -417,9 +415,8 @@ def test_resume_after_a_torn_final_line_loses_no_cell(tmp_path):
     dataset = mini_fixture()
     with MockLLMServer(mini_fixture_answers()) as server:
         cfg = make_cfg(server.url)
-        uninterrupted, _ = collect_answers(
-            dataset, cfg, tmp_path / "full.jsonl", run_id="t-run"
-        )
+        collect_answers(dataset, cfg, tmp_path / "full.jsonl", run_id="t-run")
+        uninterrupted = last_records(tmp_path / "full.jsonl")
         head, *records = (tmp_path / "full.jsonl").read_bytes().split(b"\n")[:-1]
         # the store loses its final record and ends in a record with Chinese
         # text, so some of the cuts fall inside a character
@@ -431,12 +428,11 @@ def test_resume_after_a_torn_final_line_loses_no_cell(tmp_path):
         store = tmp_path / "a.jsonl"
         for tail in tails:
             store.write_bytes(kept + tail)
-            resumed, _ = collect_answers(dataset, cfg, store, run_id="t-run")
-            loaded = load_answers(store)
-            assert (loaded.answers, loaded.raw, loaded.statuses) == (
-                uninterrupted.answers, uninterrupted.raw, uninterrupted.statuses
-            ), tail
-            assert resumed == loaded
+            manifest = collect_answers(dataset, cfg, store, run_id="t-run")
+            assert last_records(store) == uninterrupted, tail
+            assert {key: entry["status"] for key, entry in manifest.statuses.items()} == {
+                "/".join(key): status for key, (_, _, status) in uninterrupted.items()
+            }
 
 
 def test_resume_against_another_endpoint_fills_only_the_missing_cells(tmp_path):
@@ -460,15 +456,14 @@ def test_resume_against_another_endpoint_fills_only_the_missing_cells(tmp_path):
                                 run_id="t-run", progress=interrupt)
         # stopped, `first` has joined its handler threads: the requests the
         # aborted run left in flight are counted before `sent` is read
-        stored = len(load_answers(store).answers)
+        stored = len(last_records(store))
         sent = first.request_count
-        answers, _ = collect_answers(dataset, make_cfg(second.url), store,
-                                     run_id="t-run")
+        manifest = collect_answers(dataset, make_cfg(second.url), store, run_id="t-run")
         assert first.request_count == sent
         assert second.request_count == 84 - stored
-    assert len(answers.answers) == 84
-    assert set(answers.statuses.values()) == {STATUS_OK}
-    assert answers.extra == {"endpoint": first.url, "shots": 2}
+    assert len(manifest.statuses) == 84
+    assert {entry["status"] for entry in manifest.statuses.values()} == {STATUS_OK}
+    assert load_answers(store).extra == {"endpoint": first.url, "shots": 2}
 
 
 def test_a_sidecar_write_cut_short_leaves_the_previous_file(tmp_path, monkeypatch):
@@ -511,11 +506,11 @@ def test_p2_reads_the_bundled_templates_once_per_run(tmp_path, monkeypatch):
     full = mini_fixture()
     dataset = Dataset(full.languages, full.qa_items, (), full.few_shot_pool)
     with MockLLMServer(mini_fixture_answers()) as server:
-        answers, _ = collect_answers(
+        manifest = collect_answers(
             dataset, make_cfg(server.url, prompt_variant="p2"),
             tmp_path / "a.jsonl",
         )
-    assert len(answers.answers) == len(dataset.qa_items) * 3 == server.request_count
+    assert len(manifest.statuses) == len(dataset.qa_items) * 3 == server.request_count
     assert loads == [None]
 
 
@@ -596,7 +591,7 @@ def test_resume_keeps_started_at(tmp_path):
         recorded = json.loads(manifest_path.read_text())
         recorded["started_at"] = "2001-02-03T04:05:06+00:00"
         manifest_path.write_text(json.dumps(recorded))
-        _, manifest = collect_fixture(store, server.url)
+        manifest = collect_fixture(store, server.url)
     assert manifest.started_at == "2001-02-03T04:05:06+00:00"
     assert RunManifest.load(manifest_path).started_at == "2001-02-03T04:05:06+00:00"
     assert manifest.finished_at > manifest.started_at

@@ -53,6 +53,7 @@ from xlconsist.fixtures import (
 )
 from xlconsist.textmetrics import spearman_detailed
 
+from conftest import answer_cells
 from oracles import pearson_textbook, spearman_d2
 
 
@@ -91,11 +92,11 @@ def make_answers(dataset, fn):
     for item in dataset.qa_items:
         for lang in dataset.languages:
             text = fn(lang, item.id)
-            answer_set.set_answer(lang, item.id, text, text, "ok")
+            answer_set.set_answer(lang, item.id, text)
     for item in dataset.timeliness_items:
         for lang in dataset.languages:
             text = fn(lang, item.id)
-            answer_set.set_answer(lang, item.id, text, text, "ok")
+            answer_set.set_answer(lang, item.id, text)
     return answer_set
 
 
@@ -149,7 +150,7 @@ def test_xsc_three_language_hand_case():
 def test_xsc_missing_answer_raises():
     d = make_dataset(["en", "de"], [("q1", "misc", {"en": "a", "de": "b"})])
     answers = AnswerSet(run_id="t", model_id="stub")
-    answers.set_answer("en", "q1", "a", "a", "ok")
+    answers.set_answer("en", "q1", "a")
     embedder = Embedder(EmbeddingProviderConfig(kind="mock"))
     with pytest.raises(MissingAnswersError):
         xsc(answers, d, embedder)
@@ -513,6 +514,19 @@ def sample_matrix(values, langs=("en", "de", "zh")):
     return PairMatrix(tuple(langs), grid)
 
 
+@pytest.mark.parametrize("languages, values, degenerate, shown", [
+    (("en", "de", "en"), np.zeros((3, 3)), None, "duplicate language codes ['en']"),
+    (("en", "de", "zh"), np.zeros((1, 3)), None, "matrix shape (1, 3) != (3, 3)"),
+    (("en", "de", "zh"), np.zeros((3, 3)), [[0]], "degenerate shape (1, 1) != (3, 3)"),
+], ids=["duplicate-language", "one-row", "one-degenerate-cell"])
+def test_pair_matrix_refuses_what_is_not_one_cell_per_language_pair(
+    languages, values, degenerate, shown
+):
+    with pytest.raises(ValueError) as excinfo:
+        PairMatrix(languages, values, degenerate)
+    assert str(excinfo.value) == shown
+
+
 def test_correlate_self_is_one():
     m = sample_matrix({(0, 1): 0.9, (0, 2): 0.6, (1, 2): 0.3})
     result = correlate_matrices(m, m)
@@ -586,7 +600,7 @@ def fixture_run(languages=None):
     for item in dataset.qa_items + dataset.timeliness_items:
         for lang in ("en", "de", "zh"):
             text = canned[item.questions[lang]]
-            answer_set.set_answer(lang, item.id, text, text, "ok")
+            answer_set.set_answer(lang, item.id, text)
     embedder = Embedder(EmbeddingProviderConfig(kind="mock", expected_dims=24))
     return dataset, answer_set, embedder
 
@@ -636,7 +650,7 @@ def test_ceiling_property_with_forced_equality_mock():
     assert ceiling.score == pytest.approx(1.0, abs=1e-12)
 
     perturbed = ground_truth_answers(dataset)
-    perturbed.set_answer("zh", "geo-01", "里昂", "里昂", "ok")
+    perturbed.set_answer("zh", "geo-01", "里昂")
     lower = xsc(perturbed, dataset, embedder)
     assert lower.score < ceiling.score
 
@@ -736,7 +750,7 @@ def test_xsc_embeds_each_distinct_answer_once():
     result = xsc(answers, dataset, embedder, ScoringConfig(include_timeliness=True))
     assert len(embedder.calls) == 1
     (texts,) = embedder.calls
-    assert sorted(texts) == sorted(set(answers.answers.values()))
+    assert sorted(texts) == sorted(set(answer_cells(answers).values()))
     # bit-identical to normalizing each language's own embedding matrix
     languages = dataset.languages
     item_ids = [item.id for item in dataset.qa_items + dataset.timeliness_items]
@@ -958,7 +972,7 @@ def test_forked_score_loads_no_multiprocessing(tmp_path):
     store = tmp_path / "answers.jsonl"
     write_answer_header(store, truth)
     with open(store, "a", encoding="utf-8") as handle:
-        for (lang, item_id), text in truth.answers.items():
+        for (lang, item_id), text in answer_cells(truth).items():
             append_answer_record(handle, lang, item_id, text, text, "ok", 1)
     src = Path(consistency.__file__).resolve().parents[1]
     result = subprocess.run(
@@ -979,9 +993,9 @@ def test_forked_score_loads_no_multiprocessing(tmp_path):
 def without(answers, *cells):
     """A copy of `answers` that lacks the given (lang, item) cells."""
     copy = AnswerSet(run_id=answers.run_id, model_id=answers.model_id)
-    for key, text in answers.answers.items():
+    for key, text in answer_cells(answers).items():
         if key not in cells:
-            copy.set_answer(*key, text, text, "ok")
+            copy.set_answer(*key, text)
     return copy
 
 

@@ -78,7 +78,7 @@ def test_pair_matrices_exactly_symmetric():
     for item in dataset.qa_items + dataset.timeliness_items:
         for lang in dataset.languages:
             text = canned[item.questions[lang]]
-            answers.set_answer(lang, item.id, text, text, "ok")
+            answers.set_answer(lang, item.id, text)
     embedder = Embedder(EmbeddingProviderConfig(kind="mock", expected_dims=16))
     for result in (xsc(answers, dataset, embedder), xac(answers, dataset), xtc(answers, dataset)):
         values = result.matrix.values
@@ -102,7 +102,7 @@ def test_xsc_nonnegative_embeddings_bounds():
     for item in items:
         for lang in langs:
             text = f"ans {item.id} {lang}"
-            answers.set_answer(lang, item.id, text, text, "ok")
+            answers.set_answer(lang, item.id, text)
             table[text] = np.abs(rng.normal(size=6))  # nonnegative components
 
     class Stub:
@@ -202,4 +202,5 @@ def test_collect_with_config_file(tmp_path):
     loaded = load_answers(tmp_path / "a.jsonl")
     assert loaded.run_id == "cfg-run"
     assert loaded.seed == 11
-    assert len(loaded.answers) == 84
+    assert len(loaded.item_ids) * len(loaded.by_language) == 84
+    assert all(None not in column for column in loaded.by_language.values())

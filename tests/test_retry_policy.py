@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from xlconsist.answers import STATUS_FAILED
+from xlconsist.answers import STATUS_FAILED, load_answers
 from xlconsist.collection import CollectionConfig, collect_answers
 from xlconsist.embedding import Embedder, EmbeddingProviderConfig
 from xlconsist.errors import AuthenticationError, ProviderError
@@ -73,12 +73,12 @@ def chat(url, tmp_path, caplog):
         endpoint=url, model="m", shots=0, concurrency=1, max_attempts=3, backoff_base=0.01,
         timeout=10.0,
     )
-    answers, _ = collect_answers(d, cfg, tmp_path / "a.jsonl", run_id="t-run")
-    ((key, status),) = answers.statuses.items()
-    if status == STATUS_FAILED:
+    manifest = collect_answers(d, cfg, tmp_path / "a.jsonl", run_id="t-run")
+    ((key, entry),) = manifest.statuses.items()
+    if entry["status"] == STATUS_FAILED:
         (record,) = [r for r in caplog.records if r.levelno == logging.WARNING]
         raise ProviderError(record.getMessage())
-    return answers.answers[key]
+    return load_answers(tmp_path / "a.jsonl").answer(*key.split("/"))
 
 
 def embed(url, tmp_path, caplog):

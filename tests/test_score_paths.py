@@ -18,7 +18,7 @@ from xlconsist.dataset import Dataset, QAItem, dataset_hash, serialize_dataset, 
 from xlconsist.fixtures import bundled_fixture_path, mini_fixture, mini_fixture_answers
 from xlconsist.mockllm import MockLLMServer
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, answer_cells
 
 AFFINITY = {"forked": {0, 1}, "inline": {0}}
 
@@ -134,7 +134,7 @@ def _ground_truth_store(path):
     truth = ground_truth_answers(mini_fixture())
     write_answer_header(path, truth)
     with open(path, "a", encoding="utf-8") as handle:
-        for (lang, item_id), text in truth.answers.items():
+        for (lang, item_id), text in answer_cells(truth).items():
             append_answer_record(handle, lang, item_id, text, text, "ok", 1)
 
 

@@ -13,6 +13,7 @@ from xlconsist.answers import (
     append_answer_record,
     ground_truth_answers,
     load_answers,
+    store_records,
     write_answer_header,
 )
 from xlconsist.cli import cli
@@ -20,6 +21,8 @@ from xlconsist.consistency import ConsistencyReport
 from xlconsist.errors import DatasetFormatError
 from xlconsist.fixtures import bundled_fixture_path, mini_fixture, mini_fixture_answers
 from xlconsist.mockllm import MockLLMServer
+
+from conftest import answer_cells
 
 
 def test_torn_final_record_is_dropped(tmp_path):
@@ -30,9 +33,7 @@ def test_torn_final_record_is_dropped(tmp_path):
         handle.write(json.dumps({"lang": "en", "item": "q1", "raw": "x", "text": "x",
                                  "status": "ok", "attempts": 1}) + "\n")
         handle.write('{"lang": "en", "item": "q2", "raw": "y", "te')  # killed mid-write
-    loaded = load_answers(path)
-    assert ("en", "q1") in loaded.answers
-    assert ("en", "q2") not in loaded.answers
+    assert answer_cells(load_answers(path)) == {("en", "q1"): "x"}
 
 
 def test_torn_interior_record_is_an_error(tmp_path):
@@ -51,7 +52,7 @@ def test_interior_record_that_is_not_utf8_names_its_line(tmp_path):
     truth = ground_truth_answers(mini_fixture())
     write_answer_header(store, truth)
     with open(store, "a", encoding="utf-8") as handle:
-        for (lang, item_id), text in truth.answers.items():
+        for (lang, item_id), text in answer_cells(truth).items():
             append_answer_record(handle, lang, item_id, text, text, "ok", 1)
     lines = store.read_bytes().split(b"\n")
     lines[2] = lines[2].replace(b'"text": "', b'"text": "\xff', 1)
@@ -82,9 +83,9 @@ def test_last_record_wins_on_replay(tmp_path):
         for status, text in (("failed", ""), ("ok", "Paris")):
             handle.write(json.dumps({"lang": "en", "item": "q1", "raw": text, "text": text,
                                      "status": status, "attempts": 1}) + "\n")
-    loaded = load_answers(path)
-    assert loaded.answers[("en", "q1")] == "Paris"
-    assert loaded.statuses[("en", "q1")] == "ok"
+    assert load_answers(path).answer("en", "q1") == "Paris"
+    _, last = store_records(path)
+    assert last[("en", "q1")]["status"] == "ok"
 
 
 class _HashEmbedHandler(BaseHTTPRequestHandler):
@@ -175,7 +176,7 @@ def test_http_embedding_connections_end_with_the_command(tmp_path, command):
     truth = ground_truth_answers(mini_fixture())
     write_answer_header(answers, truth)
     with open(answers, "a", encoding="utf-8") as handle:
-        for (lang, item_id), text in truth.answers.items():
+        for (lang, item_id), text in answer_cells(truth).items():
             append_answer_record(handle, lang, item_id, text, text, "ok", 1)
     args = [
         command, "--dataset", str(bundled_fixture_path()), "--answers", str(answers),

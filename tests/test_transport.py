@@ -14,7 +14,7 @@ from urllib.parse import urlsplit
 import pytest
 
 import xlconsist
-from xlconsist.answers import STATUS_FAILED, STATUS_OK
+from xlconsist.answers import STATUS_FAILED, STATUS_OK, load_answers
 from xlconsist.collection import CollectionConfig, collect_answers
 from xlconsist.fixtures import mini_fixture, mini_fixture_answers
 from xlconsist.mockllm import MockLLMServer
@@ -119,13 +119,12 @@ def test_keep_alive_reuses_one_connection(clean_env, recording_server, tmp_path)
     port, handler = recording_server()
     dataset = mini_fixture()
     cfg = make_cfg(f"http://127.0.0.1:{port}/v1/chat/completions", concurrency=1)
-    answers, _ = collect_answers(
-        dataset, cfg, tmp_path / "a.jsonl", run_id="t-run"
-    )
+    manifest = collect_answers(dataset, cfg, tmp_path / "a.jsonl", run_id="t-run")
     question = dataset.qa_items[0].questions["en"]
+    answers = load_answers(tmp_path / "a.jsonl")
     assert answers.answer("en", dataset.qa_items[0].id) == f"re: {question}"
-    assert set(answers.attempts.values()) == {1}
-    assert len(handler.requests) == len(answers.answers) == 84
+    assert {entry["attempts"] for entry in manifest.statuses.values()} == {1}
+    assert len(handler.requests) == len(manifest.statuses) == 84
     assert len(handler.connections) == 1
 
 
@@ -188,11 +187,9 @@ def test_server_closing_idle_connection_costs_no_attempt(clean_env, recording_se
     port, handler = recording_server(close_after=1)
     dataset = mini_fixture()
     cfg = make_cfg(f"http://127.0.0.1:{port}/v1/chat/completions")
-    answers, manifest = collect_answers(
-        dataset, cfg, tmp_path / "a.jsonl", run_id="t-run"
-    )
+    manifest = collect_answers(dataset, cfg, tmp_path / "a.jsonl", run_id="t-run")
     records = [json.loads(line) for line in (tmp_path / "a.jsonl").read_text().splitlines()[1:]]
-    assert len(records) == len(answers.answers) == 84
+    assert len(records) == len(manifest.statuses) == 84
     assert all(record["attempts"] == 1 for record in records)
     assert all(entry["attempts"] == 1 for entry in manifest.statuses.values())
     # each answer on its own connection: the resend after a stale one is not lost
@@ -204,19 +201,15 @@ def test_http_proxy_and_no_proxy(clean_env, tmp_path):
     cfg = make_cfg(f"http://{UNRESOLVABLE}/v1/chat/completions", max_attempts=1)
     with MockLLMServer(mini_fixture_answers()) as proxy:
         clean_env.setenv("HTTP_PROXY", proxy.url.split("/v1/")[0])
-        answers, _ = collect_answers(
-            dataset, cfg, tmp_path / "proxied.jsonl", run_id="t-run"
-        )
+        manifest = collect_answers(dataset, cfg, tmp_path / "proxied.jsonl", run_id="t-run")
         assert proxy.request_count == 84
-        assert all(status == STATUS_OK for status in answers.statuses.values())
-        assert answers.answer("en", "geo-01") == "Paris"
+        assert all(entry["status"] == STATUS_OK for entry in manifest.statuses.values())
+        assert load_answers(tmp_path / "proxied.jsonl").answer("en", "geo-01") == "Paris"
 
         clean_env.setenv("NO_PROXY", UNRESOLVABLE)
-        answers, _ = collect_answers(
-            dataset, cfg, tmp_path / "direct.jsonl", run_id="t-run"
-        )
+        manifest = collect_answers(dataset, cfg, tmp_path / "direct.jsonl", run_id="t-run")
         assert proxy.request_count == 84
-        assert all(status == STATUS_FAILED for status in answers.statuses.values())
+        assert all(entry["status"] == STATUS_FAILED for entry in manifest.statuses.values())
 
 
 def test_proxy_request_target_and_credentials(clean_env, recording_server):
@@ -264,11 +257,9 @@ def test_no_pool_full_warning_at_concurrency_16(clean_env, tmp_path, caplog):
     dataset = mini_fixture()
     with MockLLMServer(mini_fixture_answers(), latency=0.02) as server:
         cfg = make_cfg(server.url, concurrency=16)
-        answers, _ = collect_answers(
-            dataset, cfg, tmp_path / "a.jsonl", run_id="t-run"
-        )
+        manifest = collect_answers(dataset, cfg, tmp_path / "a.jsonl", run_id="t-run")
         assert server.request_count == 84
-    assert all(status == STATUS_OK for status in answers.statuses.values())
+    assert all(entry["status"] == STATUS_OK for entry in manifest.statuses.values())
     assert not [r for r in caplog.records if "Connection pool is full" in r.getMessage()]
 
 
